@@ -485,8 +485,8 @@ let run_phase1 workloads =
   let module Trace = Ebp_trace.Trace in
   let module Trace_cache = Ebp_trace.Trace_cache in
   print_endline
-    "Phase 1: cold trace generation (predecoded interpreter), binary codec,\n\
-     and trace-cache I/O";
+    "Phase 1: cold trace generation (predecoded interpreter), and the\n\
+     trace cache's one-file EBPT3 entry: size and warm (mapped) load";
   let cache_dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "ebp-bench-phase1-%d" (Unix.getpid ()))
@@ -576,7 +576,7 @@ let run_phase1 workloads =
 (* --- robustness: integrity overhead on real cache entries --- *)
 
 (* The checksum trailer is pure insurance; this section prices it: raw
-   CRC-32 throughput over a real encoded trace, then the sealed
+   CRC-32 throughput over a real EBPT3 cache entry, then the sealed
    store -> verify -> checksummed lookup path on a private cache
    directory. One workload and a handful of I/O round-trips, so it is
    cheap enough to run under --quick too. *)
@@ -585,7 +585,7 @@ let run_robustness (w : Ebp_workloads.Workload.t) =
   let module Trace = Ebp_trace.Trace in
   let module Trace_cache = Ebp_trace.Trace_cache in
   print_endline
-    "Integrity overhead: CRC-32 over the encoded trace, and the sealed\n\
+    "Integrity overhead: CRC-32 over the EBPT3 cache entry, and the sealed\n\
      store -> verify -> checksummed lookup path";
   let run =
     match Workload.record w with
@@ -593,7 +593,7 @@ let run_robustness (w : Ebp_workloads.Workload.t) =
     | Error msg -> failwith ("robustness bench: " ^ msg)
   in
   let trace = run.Workload.trace in
-  let encoded = Trace.encode trace in
+  let encoded = Trace.encode_columnar trace in
   let mb = float_of_int (String.length encoded) /. 1048576.0 in
   let reps = 20 in
   let crc = ref 0 in
@@ -969,9 +969,7 @@ let run_streaming () =
     | Ok t -> t
     | Error msg -> die "streaming bench: stream read: %s" msg
   in
-  let identical_trace =
-    Ebp_trace.Trace.encode streamed = Ebp_trace.Trace.encode batch
-  in
+  let identical_trace = Ebp_trace.Trace.equal streamed batch in
   let identical_index =
     match Write_index.Incremental.snapshot inc with
     | Some i -> Write_index.equal i batch_index
@@ -1156,9 +1154,10 @@ let run_query traces =
 
 (* --- zero-copy store: mmap vs decode, parallel build, planner --- *)
 
-(* Prices the EBPT3 tier end to end: a warm load through the mmap'd
-   columnar sidecar vs a warm EBPT2 decode (time and allocation — the
-   mapped load must be near-allocation-free), the chunked index build vs
+(* Prices the EBPT3 entry end to end: a warm load that maps it vs a full
+   decode of the same file (Trace.decode_columnar: read, CRC, every
+   check, a heap copy), in time and allocation — the mapped load must be
+   near-allocation-free — then the chunked index build vs
    the serial one (asserted structurally identical), and the cost-based
    planner against both fixed engines (asserted bit-identical). Cheap
    enough for --quick. *)
@@ -1169,7 +1168,7 @@ let run_store traces =
   let module Replay = Ebp_sessions.Replay in
   let module Planner = Ebp_sessions.Planner in
   print_endline
-    "Zero-copy trace store (EBPT3): warm load via mmap vs EBPT2 decode,\n\
+    "Zero-copy trace store (EBPT3): warm load via mmap vs a full decode,\n\
      serial vs chunked index build, and the cost-based planner vs both\n\
      fixed engines";
   let dir =
@@ -1213,11 +1212,16 @@ let run_store traces =
                (match Trace_cache.store ~dir ~key trace with
                | Ok () -> ()
                | Error msg -> failwith ("store bench: " ^ msg));
+               (* The cache names an entry [<key>.ebpt3]. *)
+               let entry = Filename.concat dir (key ^ ".ebpt3") in
                let decoded, decode_ms, decode_alloc =
                  timed_alloc (fun () ->
-                     match Trace_cache.lookup_decoded ~dir ~key with
-                     | Some (t, _) -> t
-                     | None -> failwith "store bench: decoded lookup missed")
+                     match
+                       Trace.decode_columnar
+                         (In_channel.with_open_bin entry In_channel.input_all)
+                     with
+                     | Ok (t, _) -> t
+                     | Error msg -> failwith ("store bench: decode: " ^ msg))
                in
                let mapped, map_ms, map_alloc =
                  timed_alloc (fun () ->
@@ -1226,7 +1230,7 @@ let run_store traces =
                      | None -> failwith "store bench: mapped lookup missed")
                in
                if Trace.is_mapped decoded then
-                 failwith "store bench: decoded tier returned a mapping";
+                 failwith "store bench: the full decode returned a mapping";
                if not (Trace.is_mapped mapped) then
                  failwith "store bench: warm lookup did not mmap";
                let speedup = decode_ms /. map_ms in

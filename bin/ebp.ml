@@ -3,8 +3,9 @@
    Subcommands:
      list                      list the benchmark workloads
      run <workload|file.mc>    compile and run a MiniC program
-     trace <workload> [-o F]   record a program event trace (--cached to
-                               reuse the on-disk trace cache)
+     trace <workload>          record a program event trace (--cached to
+                               reuse the on-disk trace cache, --stream F
+                               to save it for --from-trace)
      sessions <workload>       discover monitor sessions and their counts
      experiment [--only T1..]  run the full experiment and print reports
                                (-j N for N domains, --cache-dir for the
@@ -23,10 +24,11 @@
      debug <workload>          interactive watchpoint debugger REPL
      disasm <file.mc>          compile a MiniC file and print its assembly
 
-   trace, sessions and experiment all accept --metrics FILE (NDJSON
-   snapshot of the Ebp_obs counters/histograms), --trace-events FILE
-   (Chrome trace-event JSON for Perfetto), and --faults SPEC (seeded
-   fault injection at the points cataloged in docs/ROBUSTNESS.md). *)
+   trace, sessions, query, experiment and travel all accept --metrics
+   FILE (NDJSON snapshot of the Ebp_obs counters/histograms),
+   --trace-events FILE (Chrome trace-event JSON for Perfetto), and
+   --faults SPEC (seeded fault injection at the points cataloged in
+   docs/ROBUSTNESS.md). *)
 
 open Cmdliner
 
@@ -46,12 +48,13 @@ let read_file path =
       (fun () -> really_input_string ic (in_channel_length ic))
   with Sys_error msg -> exit_err (Printf.sprintf "cannot read %S: %s" path msg)
 
+(* The source and default seed of a workload name or MiniC file. *)
 let source_of_arg arg =
   match Ebp_workloads.Workload.by_name arg with
-  | Some w -> Ok (w.Ebp_workloads.Workload.source, w.Ebp_workloads.Workload.seed)
+  | Some w -> (w.Ebp_workloads.Workload.source, w.Ebp_workloads.Workload.seed)
   | None ->
-      if Sys.file_exists arg then Ok (read_file arg, 42)
-      else Error (Printf.sprintf "no workload or file named %S" arg)
+      if Sys.file_exists arg then (read_file arg, 42)
+      else exit_err (Printf.sprintf "no workload or file named %S" arg)
 
 let write_file path content =
   if path = "-" then print_string content
@@ -128,6 +131,105 @@ let with_obs ~metrics ~trace_events f =
     result
   end
 
+(* The flags of every command that runs the pipeline (trace, sessions,
+   query, experiment, travel), parsed once: the command body runs under
+   fault injection and observability. *)
+let instrumented : ((unit -> unit) -> unit) Term.t =
+  let run faults metrics trace_events f =
+    with_faults faults @@ fun () -> with_obs ~metrics ~trace_events f
+  in
+  Term.(const run $ faults_arg $ metrics_arg $ trace_events_arg)
+
+(* --- trace cache and phase 1 --- *)
+
+let cache_dir_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "cache-dir" ] ~docv:"DIR"
+        ~doc:
+          "Trace cache directory (default: \\$XDG_CACHE_HOME/ebp or \
+           ~/.cache/ebp).")
+
+let cache_dir_of cache_dir =
+  Option.value cache_dir ~default:(Ebp_trace.Trace_cache.default_dir ())
+
+let record_trace ~seed source =
+  match Ebp_trace.Recorder.record_source ~seed source with
+  | Error msg -> exit_err msg
+  | Ok (_result, trace, _debug) -> trace
+
+(* Phase 1 through the trace cache ([trace --cached], [query --cached]):
+   load the trace without executing anything when it is cached, record
+   and store it otherwise, and say which on stderr. The directory and
+   key are returned too: they also name the trace's index entries. *)
+let cached_trace ~cache_dir ~target ~source ~seed =
+  let dir = cache_dir_of cache_dir in
+  let key = Ebp_trace.Trace_cache.make_key ~name:target ~source ~seed () in
+  let trace =
+    match Ebp_trace.Trace_cache.lookup ~dir ~key with
+    | Some (trace, _meta) ->
+        Printf.eprintf "phase 1: cache hit, no execution (%d events)\n"
+          (Ebp_trace.Trace.length trace);
+        trace
+    | None ->
+        let trace = record_trace ~seed source in
+        (match Ebp_trace.Trace_cache.store ~dir ~key trace with
+        | Ok () ->
+            Printf.eprintf "phase 1: traced and cached (%d events)\n"
+              (Ebp_trace.Trace.length trace)
+        | Error msg ->
+            Printf.eprintf "phase 1: traced; cache store failed: %s\n" msg);
+        trace
+  in
+  (trace, dir, key)
+
+(* [sessions] and [query] replay or query a saved trace instead of
+   running anything: a stream written by [ebp trace --stream], read
+   strictly (fin record present, nothing after it). *)
+let from_trace_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "from-trace" ] ~docv:"FILE"
+        ~doc:
+          "Read the trace from $(docv), a stream saved with $(b,ebp trace \
+           --stream), instead of running anything; the positional target \
+           is ignored.")
+
+let read_saved_trace path =
+  if not (Sys.file_exists path) then
+    exit_err (Printf.sprintf "no trace file %S" path);
+  match Ebp_trace.Stream.read_file path with
+  | Ok trace -> trace
+  | Error msg -> exit_err ("bad trace file: " ^ msg)
+
+let target_or_dash =
+  Arg.(value & pos 0 string "-" & info [] ~docv:"WORKLOAD|FILE.mc")
+
+(* Arguments shared by a batch command and its [ebp client] twin. *)
+
+let all_arg =
+  Arg.(value & flag & info [ "all" ] ~doc:"Include sessions with zero monitor hits.")
+
+let expr_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"EXPR")
+
+let only_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "only" ] ~docv:"ARTIFACT"
+        ~doc:
+          "Print a single artifact: table1, table2, table3, table4, fig7, \
+           fig8, fig9, breakdown, expansion.")
+
+let workloads_arg =
+  Arg.(
+    value
+    & opt (some (list string)) None
+    & info [ "workloads" ] ~docv:"NAMES"
+        ~doc:"Comma-separated subset of workloads to run.")
+
 (* --- list --- *)
 
 let list_cmd =
@@ -152,48 +254,30 @@ let seed_arg =
 let run_cmd =
   let doc = "Compile and run a MiniC program or named workload." in
   let f target seed =
-    match source_of_arg target with
+    let source, default_seed = source_of_arg target in
+    let seed = Option.value ~default:default_seed seed in
+    match Ebp_runtime.Loader.run_source ~seed source with
     | Error msg -> exit_err msg
-    | Ok (source, default_seed) -> (
-        let seed = Option.value ~default:default_seed seed in
-        match Ebp_runtime.Loader.run_source ~seed source with
-        | Error msg -> exit_err msg
-        | Ok r ->
-            print_string r.Ebp_runtime.Loader.output;
-            (match r.Ebp_runtime.Loader.runtime_error with
-            | Some e -> exit_err ("runtime error: " ^ e)
-            | None -> ());
-            (match r.Ebp_runtime.Loader.status with
-            | Ebp_machine.Machine.Halted code ->
-                Printf.eprintf "[%d instructions, %d cycles, %.1f ms simulated]\n"
-                  r.Ebp_runtime.Loader.instructions r.Ebp_runtime.Loader.cycles
-                  (Ebp_machine.Cost_model.ms_of_cycles r.Ebp_runtime.Loader.cycles);
-                exit code
-            | Ebp_machine.Machine.Out_of_fuel -> exit_err "out of fuel"
-            | Ebp_machine.Machine.Machine_error msg -> exit_err msg))
+    | Ok r -> (
+        print_string r.Ebp_runtime.Loader.output;
+        (match r.Ebp_runtime.Loader.runtime_error with
+        | Some e -> exit_err ("runtime error: " ^ e)
+        | None -> ());
+        match r.Ebp_runtime.Loader.status with
+        | Ebp_machine.Machine.Halted code ->
+            Printf.eprintf "[%d instructions, %d cycles, %.1f ms simulated]\n"
+              r.Ebp_runtime.Loader.instructions r.Ebp_runtime.Loader.cycles
+              (Ebp_machine.Cost_model.ms_of_cycles r.Ebp_runtime.Loader.cycles);
+            exit code
+        | Ebp_machine.Machine.Out_of_fuel -> exit_err "out of fuel"
+        | Ebp_machine.Machine.Machine_error msg -> exit_err msg)
   in
   Cmd.v (Cmd.info "run" ~doc) Term.(const f $ target_arg $ seed_arg)
 
 (* --- trace --- *)
 
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:
-          "Trace cache directory (default: \\$XDG_CACHE_HOME/ebp or \
-           ~/.cache/ebp).")
-
 let trace_cmd =
   let doc = "Record a program event trace (phase 1)." in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
-          ~doc:"Write a binary trace to $(docv) instead of a summary to stdout.")
-  in
   let text_arg =
     Arg.(value & flag & info [ "text" ] ~doc:"Dump the trace as text to stdout.")
   in
@@ -216,8 +300,9 @@ let trace_cmd =
              builder: sealed, CRC'd blocks are written to $(docv) as the \
              program runs (format EBPB1, docs/STREAMING.md), so peak \
              memory is one block regardless of trace length. The \
-             completed stream decodes to a trace byte-identical to the \
-             batch recorder's.")
+             completed stream decodes to a trace equal to the batch \
+             recorder's; $(b,sessions) and $(b,query) read it back with \
+             $(b,--from-trace).")
   in
   let block_events_arg =
     Arg.(
@@ -274,14 +359,11 @@ let trace_cmd =
                chain loader recorder);
           Ebp_trace.Recorder.finish_events recorder;
           Ebp_trace.Stream.Writer.finish writer;
-          let dir =
-            Option.value cache_dir
-              ~default:(Ebp_trace.Trace_cache.default_dir ())
-          in
+          let dir = cache_dir_of cache_dir in
           let key =
             Ebp_trace.Trace_cache.make_key ~name:target ~source ~seed ()
           in
-          (match Ebp_trace.Trace_cache.store_checkpoints ~dir ~key chain with
+          match Ebp_trace.Trace_cache.store_checkpoints ~dir ~key chain with
           | Ok () ->
               Printf.eprintf "streamed %d events to %s; %d checkpoints cached\n"
                 (Ebp_trace.Stream.Writer.events writer)
@@ -291,69 +373,37 @@ let trace_cmd =
               Printf.eprintf
                 "streamed %d events to %s; checkpoint store failed: %s\n"
                 (Ebp_trace.Stream.Writer.events writer)
-                out msg)
+                out msg
         end
   in
-  let f target out text cached stream block_events checkpoint_every cache_dir
-      faults metrics trace_events =
-    with_faults faults @@ fun () ->
-    with_obs ~metrics ~trace_events @@ fun () ->
-    match source_of_arg target with
-    | Error msg -> exit_err msg
-    | Ok (source, seed) when stream <> None ->
-        if out <> None || text || cached then
-          exit_err "--stream is exclusive with -o, --text, and --cached";
-        stream_record ~target ~source ~seed ~out:(Option.get stream) ~block_events
+  let f target text cached stream block_events checkpoint_every cache_dir
+      instrumented =
+    instrumented @@ fun () ->
+    let source, seed = source_of_arg target in
+    match stream with
+    | Some out ->
+        if text || cached then
+          exit_err "--stream is exclusive with --text and --cached";
+        stream_record ~target ~source ~seed ~out ~block_events
           ~every:checkpoint_every ~cache_dir
-    | Ok (source, seed) -> (
-        let record () =
-          match Ebp_trace.Recorder.record_source ~seed source with
-          | Error msg -> exit_err msg
-          | Ok (_result, trace, _debug) -> trace
-        in
+    | None ->
         let trace =
-          if not cached then record ()
-          else begin
-            let dir =
-              Option.value cache_dir
-                ~default:(Ebp_trace.Trace_cache.default_dir ())
+          if not cached then record_trace ~seed source
+          else
+            let trace, _dir, _key =
+              cached_trace ~cache_dir ~target ~source ~seed
             in
-            let key =
-              Ebp_trace.Trace_cache.make_key ~name:target ~source ~seed ()
-            in
-            match Ebp_trace.Trace_cache.lookup ~dir ~key with
-            | Some (trace, _meta) ->
-                Printf.eprintf "phase 1: cache hit, no execution (%d events)\n"
-                  (Ebp_trace.Trace.length trace);
-                trace
-            | None ->
-                let trace = record () in
-                (match Ebp_trace.Trace_cache.store ~dir ~key trace with
-                | Ok () ->
-                    Printf.eprintf "phase 1: traced and cached (%d events)\n"
-                      (Ebp_trace.Trace.length trace)
-                | Error msg ->
-                    Printf.eprintf "phase 1: traced; cache store failed: %s\n"
-                      msg);
-                trace
-          end
+            trace
         in
-        (match out with
-        | Some path ->
-            write_file path (Ebp_trace.Trace.encode trace);
-            Printf.eprintf "wrote %d events to %s\n"
-              (Ebp_trace.Trace.length trace) path
-        | None -> ());
         if text then print_string (Ebp_trace.Trace.to_text trace)
-        else if out = None then
+        else
           Format.printf "%a@." Ebp_trace.Trace.pp_stats
-            (Ebp_trace.Trace.stats trace))
+            (Ebp_trace.Trace.stats trace)
   in
   Cmd.v (Cmd.info "trace" ~doc)
     Term.(
-      const f $ target_arg $ out_arg $ text_arg $ cached_arg $ stream_arg
-      $ block_events_arg $ checkpoint_every_arg $ cache_dir_arg $ faults_arg
-      $ metrics_arg $ trace_events_arg)
+      const f $ target_arg $ text_arg $ cached_arg $ stream_arg
+      $ block_events_arg $ checkpoint_every_arg $ cache_dir_arg $ instrumented)
 
 let engine_arg =
   Arg.(
@@ -409,25 +459,11 @@ let rec approach_page_sizes a =
 let sessions_cmd =
   let doc =
     "Discover monitor sessions and replay a trace against them (phase 2). \
-     The trace comes from running the program, or from a binary trace file \
-     saved with $(b,ebp trace -o)."
+     The trace comes from running the program, or from a stream file \
+     saved with $(b,ebp trace --stream)."
   in
-  let all_arg =
-    Arg.(
-      value & flag
-      & info [ "all" ] ~doc:"Include sessions with zero monitor hits.")
-  in
-  let from_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "from-trace" ] ~docv:"FILE"
-          ~doc:"Replay a saved binary trace instead of running anything; the \
-                positional argument is ignored.")
-  in
-  let f target all from engine approaches faults metrics trace_events =
-    with_faults faults @@ fun () ->
-    with_obs ~metrics ~trace_events @@ fun () ->
+  let f target all from engine approaches instrumented =
+    instrumented @@ fun () ->
     let approaches = Option.map parse_approaches approaches in
     let page_sizes =
       let defaults = Ebp_sessions.Replay.default_page_sizes in
@@ -442,19 +478,10 @@ let sessions_cmd =
     in
     let trace =
       match from with
-      | Some path -> (
-          if not (Sys.file_exists path) then
-            exit_err (Printf.sprintf "no trace file %S" path);
-          match Ebp_trace.Trace.decode (read_file path) with
-          | Ok t -> t
-          | Error msg -> exit_err ("bad trace file: " ^ msg))
-      | None -> (
-          match source_of_arg target with
-          | Error msg -> exit_err msg
-          | Ok (source, seed) -> (
-              match Ebp_trace.Recorder.record_source ~seed source with
-              | Error msg -> exit_err msg
-              | Ok (_result, trace, _debug) -> trace))
+      | Some path -> read_saved_trace path
+      | None ->
+          let source, seed = source_of_arg target in
+          record_trace ~seed source
     in
     let results =
       match engine with
@@ -471,13 +498,10 @@ let sessions_cmd =
     | Some approaches ->
         print_string (Ebp_serve.Render.model_report results ~approaches)
   in
-  let target_or_dash =
-    Arg.(value & pos 0 string "-" & info [] ~docv:"WORKLOAD|FILE.mc")
-  in
   Cmd.v (Cmd.info "sessions" ~doc)
     Term.(
-      const f $ target_or_dash $ all_arg $ from_arg $ engine_arg
-      $ approaches_arg $ faults_arg $ metrics_arg $ trace_events_arg)
+      const f $ target_or_dash $ all_arg $ from_trace_arg $ engine_arg
+      $ approaches_arg $ instrumented)
 
 (* --- query --- *)
 
@@ -487,20 +511,6 @@ let query_cmd =
      time window, and session liveness, with counts, group-bys, and \
      histograms. Compiled onto the write index or streamed over the trace; \
      both engines produce byte-identical output."
-  in
-  let expr_arg =
-    Arg.(required & pos 1 (some string) None & info [] ~docv:"EXPR")
-  in
-  let target_or_dash =
-    Arg.(value & pos 0 string "-" & info [] ~docv:"WORKLOAD|FILE.mc")
-  in
-  let from_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "from-trace" ] ~docv:"FILE"
-          ~doc:"Query a saved binary trace instead of running anything; the \
-                positional target is ignored.")
   in
   let qengine_arg =
     Arg.(
@@ -554,10 +564,9 @@ let query_cmd =
              trace, and reuse (or build and store) its write index, so \
              repeated queries skip both phase 1 and the index build.")
   in
-  let f target expr from engine format check explain cached cache_dir faults
-      metrics trace_events =
-    with_faults faults @@ fun () ->
-    with_obs ~metrics ~trace_events @@ fun () ->
+  let f target expr from engine format check explain cached cache_dir
+      instrumented =
+    instrumented @@ fun () ->
     let q =
       match Ebp_query.Query.parse expr with
       | Ok q -> q
@@ -570,47 +579,15 @@ let query_cmd =
        path, which is what guarantees the index entry describes it. *)
     let trace, trace_key =
       match from with
-      | Some path -> (
-          if not (Sys.file_exists path) then
-            exit_err (Printf.sprintf "no trace file %S" path);
-          match Ebp_trace.Trace.decode (read_file path) with
-          | Ok t -> (t, None)
-          | Error msg -> exit_err ("bad trace file: " ^ msg))
-      | None -> (
-          match source_of_arg target with
-          | Error msg -> exit_err msg
-          | Ok (source, seed) -> (
-              let record () =
-                match Ebp_trace.Recorder.record_source ~seed source with
-                | Error msg -> exit_err msg
-                | Ok (_result, trace, _debug) -> trace
-              in
-              if not cached then (record (), None)
-              else
-                let dir =
-                  Option.value cache_dir
-                    ~default:(Ebp_trace.Trace_cache.default_dir ())
-                in
-                let key =
-                  Ebp_trace.Trace_cache.make_key ~name:target ~source ~seed ()
-                in
-                match Ebp_trace.Trace_cache.lookup ~dir ~key with
-                | Some (trace, _meta) ->
-                    Printf.eprintf
-                      "phase 1: cache hit, no execution (%d events)\n"
-                      (Ebp_trace.Trace.length trace);
-                    (trace, Some (dir, key))
-                | None ->
-                    let trace = record () in
-                    (match Ebp_trace.Trace_cache.store ~dir ~key trace with
-                    | Ok () ->
-                        Printf.eprintf
-                          "phase 1: traced and cached (%d events)\n"
-                          (Ebp_trace.Trace.length trace)
-                    | Error msg ->
-                        Printf.eprintf
-                          "phase 1: traced; cache store failed: %s\n" msg);
-                    (trace, Some (dir, key))))
+      | Some path -> (read_saved_trace path, None)
+      | None ->
+          let source, seed = source_of_arg target in
+          if not cached then (record_trace ~seed source, None)
+          else
+            let trace, dir, key =
+              cached_trace ~cache_dir ~target ~source ~seed
+            in
+            (trace, Some (dir, key))
     in
     let page_sizes = Ebp_sessions.Replay.default_page_sizes in
     let index_source =
@@ -651,30 +628,14 @@ let query_cmd =
   in
   Cmd.v (Cmd.info "query" ~doc)
     Term.(
-      const f $ target_or_dash $ expr_arg $ from_arg $ qengine_arg $ format_arg
-      $ check_arg $ explain_arg $ cached_arg $ cache_dir_arg $ faults_arg
-      $ metrics_arg $ trace_events_arg)
+      const f $ target_or_dash $ expr_arg $ from_trace_arg $ qengine_arg
+      $ format_arg $ check_arg $ explain_arg $ cached_arg $ cache_dir_arg
+      $ instrumented)
 
 (* --- experiment --- *)
 
 let experiment_cmd =
   let doc = "Run the full simulation experiment and print the paper's artifacts." in
-  let only_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "only" ] ~docv:"ARTIFACT"
-          ~doc:
-            "Print a single artifact: table1, table2, table3, table4, fig7, \
-             fig8, fig9, breakdown, expansion.")
-  in
-  let workloads_arg =
-    Arg.(
-      value
-      & opt (some (list string)) None
-      & info [ "workloads" ] ~docv:"NAMES"
-          ~doc:"Comma-separated subset of workloads to run.")
-  in
   let jobs_arg =
     Arg.(
       value & opt int 1
@@ -684,10 +645,8 @@ let experiment_cmd =
              in parallel and each replay is sharded. Output is identical \
              for every $(docv).")
   in
-  let f only workloads jobs approaches cache_dir engine faults metrics
-      trace_events =
-    with_faults faults @@ fun () ->
-    with_obs ~metrics ~trace_events @@ fun () ->
+  let f only workloads jobs approaches cache_dir engine instrumented =
+    instrumented @@ fun () ->
     let approaches = Option.map parse_approaches approaches in
     let workloads =
       match workloads with
@@ -714,8 +673,7 @@ let experiment_cmd =
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(
       const f $ only_arg $ workloads_arg $ jobs_arg $ approaches_arg
-      $ cache_dir_arg $ engine_arg $ faults_arg $ metrics_arg
-      $ trace_events_arg)
+      $ cache_dir_arg $ engine_arg $ instrumented)
 
 (* --- stats --- *)
 
@@ -745,14 +703,11 @@ let stats_cmd =
 (* --- cache --- *)
 
 let cache_cmd =
-  let dir_of cache_dir =
-    Option.value cache_dir ~default:(Ebp_trace.Trace_cache.default_dir ())
-  in
   let kind_name = function
     | Ebp_trace.Trace_cache.Trace_entry -> "trace"
     | Ebp_trace.Trace_cache.Index_entry -> "index"
-    | Ebp_trace.Trace_cache.Columnar_entry -> "columnar"
     | Ebp_trace.Trace_cache.Checkpoint_entry -> "checkpoint"
+    | Ebp_trace.Trace_cache.Stale_entry -> "stale"
     | Ebp_trace.Trace_cache.Tmp_entry -> "tmp"
     | Ebp_trace.Trace_cache.Corrupt_entry -> "corrupt"
   in
@@ -762,8 +717,9 @@ let cache_cmd =
        total size."
     in
     let f cache_dir =
-      let dir = dir_of cache_dir in
-      let entries = Ebp_trace.Trace_cache.entries ~dir in
+      let entries =
+        Ebp_trace.Trace_cache.entries ~dir:(cache_dir_of cache_dir)
+      in
       (* Name order for stable output; [gc] evicts by age, not name. *)
       let entries =
         List.sort
@@ -787,7 +743,7 @@ let cache_cmd =
           (Ebp_util.Text_table.render ~header:[ "kind"; "bytes"; "file" ] ~rows
              ());
       (* Per-kind breakdown in a fixed order (skipping absent kinds), so
-         the columnar sidecars' disk cost is visible at a glance. *)
+         the disk cost of each artifact type is visible at a glance. *)
       List.iter
         (fun kind ->
           let n, bytes =
@@ -804,7 +760,8 @@ let cache_cmd =
         [
           Ebp_trace.Trace_cache.Trace_entry;
           Ebp_trace.Trace_cache.Index_entry;
-          Ebp_trace.Trace_cache.Columnar_entry;
+          Ebp_trace.Trace_cache.Checkpoint_entry;
+          Ebp_trace.Trace_cache.Stale_entry;
           Ebp_trace.Trace_cache.Tmp_entry;
           Ebp_trace.Trace_cache.Corrupt_entry;
         ];
@@ -824,7 +781,7 @@ let cache_cmd =
     let doc = "Remove every cache entry (temp files included)." in
     let f cache_dir metrics =
       with_obs ~metrics ~trace_events:None @@ fun () ->
-      report (Ebp_trace.Trace_cache.clear ~dir:(dir_of cache_dir))
+      report (Ebp_trace.Trace_cache.clear ~dir:(cache_dir_of cache_dir))
     in
     Cmd.v (Cmd.info "clear" ~doc) Term.(const f $ cache_dir_arg $ metrics_arg)
   in
@@ -843,7 +800,7 @@ let cache_cmd =
     let f cache_dir max_bytes metrics =
       if max_bytes < 0 then exit_err "--max-bytes must be non-negative";
       with_obs ~metrics ~trace_events:None @@ fun () ->
-      report (Ebp_trace.Trace_cache.gc ~dir:(dir_of cache_dir) ~max_bytes)
+      report (Ebp_trace.Trace_cache.gc ~dir:(cache_dir_of cache_dir) ~max_bytes)
     in
     Cmd.v (Cmd.info "gc" ~doc)
       Term.(const f $ cache_dir_arg $ max_bytes_arg $ metrics_arg)
@@ -866,7 +823,7 @@ let cache_cmd =
       with_obs ~metrics ~trace_events:None @@ fun () ->
       let r =
         Ebp_trace.Trace_cache.verify ~quarantine:(not no_quarantine)
-          ~dir:(dir_of cache_dir) ()
+          ~dir:(cache_dir_of cache_dir) ()
       in
       List.iter
         (fun (file, reason) ->
@@ -1032,126 +989,120 @@ let travel_cmd =
             "Consult the trace cache for a stored checkpoint chain; record \
              the run and store one otherwise.")
   in
-  let f target event every cached cache_dir faults metrics trace_events =
-    with_faults faults @@ fun () ->
-    with_obs ~metrics ~trace_events @@ fun () ->
+  let f target event every cached cache_dir instrumented =
+    instrumented @@ fun () ->
     if event < 0 then exit_err "--event must be non-negative";
     if every <= 0 then exit_err "--checkpoint-every must be positive";
-    match source_of_arg target with
+    let source, seed = source_of_arg target in
+    match Ebp_lang.Compiler.compile source with
     | Error msg -> exit_err msg
-    | Ok (source, seed) -> (
-        match Ebp_lang.Compiler.compile source with
-        | Error msg -> exit_err msg
-        | Ok compiled ->
-            let module Ckpt = Ebp_trace.Checkpoint in
-            let load () = Ebp_runtime.Loader.load ~seed compiled in
-            let record_chain () =
-              (* The stream bytes are discarded: travel only needs the
-                 checkpoint chain, and the writer's event counter is the
-                 checkpoint cadence clock. *)
-              let writer =
-                Ebp_trace.Stream.Writer.create ~write:(fun _ -> ()) ()
-              in
-              let loader = load () in
-              let recorder = Ebp_trace.Recorder.attach_stream writer loader in
-              let chain = Ckpt.create () in
-              Ckpt.track loader;
-              ignore
-                (Ckpt.run_with_checkpoints ~every
-                   ~events:(fun () -> Ebp_trace.Stream.Writer.events writer)
-                   ~nobjs:(fun () ->
-                     Ebp_trace.Stream.Writer.object_count writer)
-                   chain loader recorder);
-              Ebp_trace.Recorder.finish_events recorder;
-              Ebp_trace.Stream.Writer.finish writer;
-              chain
+    | Ok compiled ->
+        let module Ckpt = Ebp_trace.Checkpoint in
+        let load () = Ebp_runtime.Loader.load ~seed compiled in
+        let record_chain () =
+          (* The stream bytes are discarded: travel only needs the
+             checkpoint chain, and the writer's event counter is the
+             checkpoint cadence clock. *)
+          let writer =
+            Ebp_trace.Stream.Writer.create ~write:(fun _ -> ()) ()
+          in
+          let loader = load () in
+          let recorder = Ebp_trace.Recorder.attach_stream writer loader in
+          let chain = Ckpt.create () in
+          Ckpt.track loader;
+          ignore
+            (Ckpt.run_with_checkpoints ~every
+               ~events:(fun () -> Ebp_trace.Stream.Writer.events writer)
+               ~nobjs:(fun () ->
+                 Ebp_trace.Stream.Writer.object_count writer)
+               chain loader recorder);
+          Ebp_trace.Recorder.finish_events recorder;
+          Ebp_trace.Stream.Writer.finish writer;
+          chain
+        in
+        let chain =
+          if not cached then record_chain ()
+          else begin
+            let dir = cache_dir_of cache_dir in
+            let key =
+              Ebp_trace.Trace_cache.make_key ~name:target ~source ~seed ()
             in
-            let chain =
-              if not cached then record_chain ()
-              else begin
-                let dir =
-                  Option.value cache_dir
-                    ~default:(Ebp_trace.Trace_cache.default_dir ())
-                in
-                let key =
-                  Ebp_trace.Trace_cache.make_key ~name:target ~source ~seed ()
-                in
-                match Ebp_trace.Trace_cache.lookup_checkpoints ~dir ~key with
-                | Some chain ->
-                    Printf.eprintf "checkpoints: cache hit (%d entries)\n"
-                      (Ckpt.count chain);
-                    chain
-                | None ->
-                    let chain = record_chain () in
-                    (match
-                       Ebp_trace.Trace_cache.store_checkpoints ~dir ~key chain
-                     with
-                    | Ok () ->
-                        Printf.eprintf
-                          "checkpoints: recorded and cached (%d entries)\n"
-                          (Ckpt.count chain)
-                    | Error msg ->
-                        Printf.eprintf
-                          "checkpoints: recorded; cache store failed: %s\n" msg);
-                    chain
-              end
-            in
-            let time f =
-              let t0 = Unix.gettimeofday () in
-              let r = f () in
-              (r, (Unix.gettimeofday () -. t0) *. 1000.)
-            in
-            let digest0, step0_ms =
-              time (fun () ->
-                  let loader = load () in
-                  let counters = { Ebp_trace.Recorder.c_events = 0; c_objs = 0 } in
-                  ignore
-                    (Ebp_trace.Recorder.attach_sink
-                       (Ebp_trace.Recorder.counting_sink counters)
-                       loader);
-                  ignore (Ckpt.seek loader counters ~event);
-                  Ckpt.state_digest loader counters)
-            in
-            let restart, restart_ms =
-              time (fun () ->
-                  match Ckpt.restore chain ~event ~load with
-                  | None -> None
-                  | Some r ->
-                      let from = r.Ckpt.rs_counters.Ebp_trace.Recorder.c_events in
-                      ignore
-                        (Ckpt.seek r.Ckpt.rs_loader r.Ckpt.rs_counters ~event);
-                      Some
-                        ( from,
-                          Ckpt.state_digest r.Ckpt.rs_loader r.Ckpt.rs_counters
-                        ))
-            in
-            match restart with
+            match Ebp_trace.Trace_cache.lookup_checkpoints ~dir ~key with
+            | Some chain ->
+                Printf.eprintf "checkpoints: cache hit (%d entries)\n"
+                  (Ckpt.count chain);
+                chain
             | None ->
-                Printf.printf
-                  "travel to event %d: no checkpoint precedes it (chain of \
-                   %d); step-0 replay took %.1f ms\n"
-                  event (Ckpt.count chain) step0_ms
-            | Some (from, digest) ->
-                Printf.printf
-                  "travel to event %d: restart from checkpoint at event %d \
-                   (chain of %d)\n\
-                  \  checkpoint restart: %8.1f ms\n\
-                  \  step-0 replay:      %8.1f ms\n\
-                  \  speedup: %.1fx\n"
-                  event from (Ckpt.count chain) restart_ms step0_ms
-                  (step0_ms /. Float.max 1e-6 restart_ms);
-                if digest <> digest0 then
-                  exit_err
-                    (Printf.sprintf
-                       "state digests differ (restart %s, step-0 %s): \
-                        checkpoint restore is not equivalent"
-                       digest digest0)
-                else print_endline "  state digests match")
+                let chain = record_chain () in
+                (match
+                   Ebp_trace.Trace_cache.store_checkpoints ~dir ~key chain
+                 with
+                | Ok () ->
+                    Printf.eprintf
+                      "checkpoints: recorded and cached (%d entries)\n"
+                      (Ckpt.count chain)
+                | Error msg ->
+                    Printf.eprintf
+                      "checkpoints: recorded; cache store failed: %s\n" msg);
+                chain
+          end
+        in
+        let time f =
+          let t0 = Unix.gettimeofday () in
+          let r = f () in
+          (r, (Unix.gettimeofday () -. t0) *. 1000.)
+        in
+        let digest0, step0_ms =
+          time (fun () ->
+              let loader = load () in
+              let counters = { Ebp_trace.Recorder.c_events = 0; c_objs = 0 } in
+              ignore
+                (Ebp_trace.Recorder.attach_sink
+                   (Ebp_trace.Recorder.counting_sink counters)
+                   loader);
+              ignore (Ckpt.seek loader counters ~event);
+              Ckpt.state_digest loader counters)
+        in
+        let restart, restart_ms =
+          time (fun () ->
+              match Ckpt.restore chain ~event ~load with
+              | None -> None
+              | Some r ->
+                  let from = r.Ckpt.rs_counters.Ebp_trace.Recorder.c_events in
+                  ignore
+                    (Ckpt.seek r.Ckpt.rs_loader r.Ckpt.rs_counters ~event);
+                  Some
+                    ( from,
+                      Ckpt.state_digest r.Ckpt.rs_loader r.Ckpt.rs_counters
+                    ))
+        in
+        match restart with
+        | None ->
+            Printf.printf
+              "travel to event %d: no checkpoint precedes it (chain of \
+               %d); step-0 replay took %.1f ms\n"
+              event (Ckpt.count chain) step0_ms
+        | Some (from, digest) ->
+            Printf.printf
+              "travel to event %d: restart from checkpoint at event %d \
+               (chain of %d)\n\
+              \  checkpoint restart: %8.1f ms\n\
+              \  step-0 replay:      %8.1f ms\n\
+              \  speedup: %.1fx\n"
+              event from (Ckpt.count chain) restart_ms step0_ms
+              (step0_ms /. Float.max 1e-6 restart_ms);
+            if digest <> digest0 then
+              exit_err
+                (Printf.sprintf
+                   "state digests differ (restart %s, step-0 %s): \
+                    checkpoint restore is not equivalent"
+                   digest digest0)
+            else print_endline "  state digests match"
   in
   Cmd.v (Cmd.info "travel" ~doc)
     Term.(
       const f $ target_arg $ event_arg $ every_arg $ cached_arg $ cache_dir_arg
-      $ faults_arg $ metrics_arg $ trace_events_arg)
+      $ instrumented)
 
 (* --- serve / client --- *)
 
@@ -1274,6 +1225,17 @@ let client_cmd =
     | Ok resp -> on_ok resp
   in
   let unexpected () = exit_err "unexpected response type from server" in
+  let print_report = function
+    | Proto.Report text -> print_string text
+    | _ -> unexpected ()
+  in
+  let format_arg =
+    Arg.(
+      value
+      & opt (enum [ ("table", "table"); ("ndjson", "ndjson") ]) "table"
+      & info [ "format" ] ~docv:"FORMAT"
+          ~doc:"Output format: $(b,table) or $(b,ndjson).")
+  in
   let ping_cmd =
     let doc = "Round-trip one Ping frame." in
     let f socket tenant =
@@ -1288,27 +1250,18 @@ let client_cmd =
       "Run a phase-2 session query on the server and print the report — \
        byte-identical to $(b,ebp sessions) for the same program."
     in
-    let all_arg =
-      Arg.(
-        value & flag
-        & info [ "all" ] ~doc:"Include sessions with zero monitor hits.")
-    in
     let f socket tenant target all engine =
-      match source_of_arg target with
-      | Error msg -> exit_err msg
-      | Ok (source, seed) ->
-          let engine =
-            match engine with
-            | None -> "auto"
-            | Some Ebp_sessions.Replay.Indexed -> "indexed"
-            | Some Ebp_sessions.Replay.Scan -> "scan"
-          in
-          run_request socket tenant
-            (Proto.Sessions_query
-               { name = target; source; seed; engine; keep_hitless = all })
-            (function
-              | Proto.Report text -> print_string text
-              | _ -> unexpected ())
+      let source, seed = source_of_arg target in
+      let engine =
+        match engine with
+        | None -> "auto"
+        | Some Ebp_sessions.Replay.Indexed -> "indexed"
+        | Some Ebp_sessions.Replay.Scan -> "scan"
+      in
+      run_request socket tenant
+        (Proto.Sessions_query
+           { name = target; source; seed; engine; keep_hitless = all })
+        print_report
     in
     Cmd.v (Cmd.info "sessions" ~doc)
       Term.(
@@ -1319,30 +1272,12 @@ let client_cmd =
       "Run the experiment on the server and print one artifact — \
        byte-identical to $(b,ebp experiment)."
     in
-    let only_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "only" ] ~docv:"ARTIFACT"
-            ~doc:
-              "Print a single artifact: table1, table2, table3, table4, \
-               fig7, fig8, fig9, breakdown, expansion.")
-    in
-    let workloads_arg =
-      Arg.(
-        value
-        & opt (some (list string)) None
-        & info [ "workloads" ] ~docv:"NAMES"
-            ~doc:"Comma-separated subset of workloads to run.")
-    in
     let f socket tenant only workloads =
       let artifact = Option.value only ~default:"full" in
       let workloads = Option.value workloads ~default:[] in
       run_request socket tenant
         (Proto.Experiment_query { workloads; artifact })
-        (function
-          | Proto.Report text -> print_string text
-          | _ -> unexpected ())
+        print_report
     in
     Cmd.v (Cmd.info "experiment" ~doc)
       Term.(const f $ socket_arg $ tenant_arg $ only_arg $ workloads_arg)
@@ -1353,9 +1288,6 @@ let client_cmd =
        byte-identical to $(b,ebp query) for the same program and \
        expression (docs/QUERY.md)."
     in
-    let expr_arg =
-      Arg.(required & pos 1 (some string) None & info [] ~docv:"EXPR")
-    in
     let engine_arg =
       Arg.(
         value
@@ -1364,22 +1296,11 @@ let client_cmd =
         & info [ "engine" ] ~docv:"ENGINE"
             ~doc:"Query engine: $(b,auto), $(b,indexed), or $(b,scan).")
     in
-    let format_arg =
-      Arg.(
-        value
-        & opt (enum [ ("table", "table"); ("ndjson", "ndjson") ]) "table"
-        & info [ "format" ] ~docv:"FORMAT"
-            ~doc:"Output format: $(b,table) or $(b,ndjson).")
-    in
     let f socket tenant target expr engine format =
-      match source_of_arg target with
-      | Error msg -> exit_err msg
-      | Ok (source, seed) ->
-          run_request socket tenant
-            (Proto.Query { name = target; source; seed; expr; engine; format })
-            (function
-              | Proto.Report text -> print_string text
-              | _ -> unexpected ())
+      let source, seed = source_of_arg target in
+      run_request socket tenant
+        (Proto.Query { name = target; source; seed; expr; engine; format })
+        print_report
     in
     Cmd.v (Cmd.info "query" ~doc)
       Term.(
@@ -1394,16 +1315,6 @@ let client_cmd =
        high-water mark (printed to stderr); once the recording completes it \
        is byte-identical to $(b,ebp client query) (docs/STREAMING.md)."
     in
-    let expr_arg =
-      Arg.(required & pos 1 (some string) None & info [] ~docv:"EXPR")
-    in
-    let format_arg =
-      Arg.(
-        value
-        & opt (enum [ ("table", "table"); ("ndjson", "ndjson") ]) "table"
-        & info [ "format" ] ~docv:"FORMAT"
-            ~doc:"Output format: $(b,table) or $(b,ndjson).")
-    in
     let min_events_arg =
       Arg.(
         value & opt int 0
@@ -1414,18 +1325,16 @@ let client_cmd =
                previous reply's high-water mark to poll for progress.")
     in
     let f socket tenant target expr format min_events =
-      match source_of_arg target with
-      | Error msg -> exit_err msg
-      | Ok (source, seed) ->
-          run_request socket tenant
-            (Proto.Live_query
-               { name = target; source; seed; expr; format; min_events })
-            (function
-              | Proto.Live_report { report; high_water; complete } ->
-                  Printf.eprintf "live: high_water=%d complete=%b\n" high_water
-                    complete;
-                  print_string report
-              | _ -> unexpected ())
+      let source, seed = source_of_arg target in
+      run_request socket tenant
+        (Proto.Live_query
+           { name = target; source; seed; expr; format; min_events })
+        (function
+          | Proto.Live_report { report; high_water; complete } ->
+              Printf.eprintf "live: high_water=%d complete=%b\n" high_water
+                complete;
+              print_string report
+          | _ -> unexpected ())
     in
     Cmd.v (Cmd.info "live-query" ~doc)
       Term.(
@@ -1481,10 +1390,8 @@ let client_cmd =
 let debug_cmd =
   let doc = "Interactive watchpoint debugger (scriptable via a pipe)." in
   let f target seed =
-    match source_of_arg target with
-    | Error msg -> exit_err msg
-    | Ok (source, default_seed) ->
-        exit (Debug_repl.run ~source ~seed:(Option.value ~default:default_seed seed))
+    let source, default_seed = source_of_arg target in
+    exit (Debug_repl.run ~source ~seed:(Option.value ~default:default_seed seed))
   in
   Cmd.v (Cmd.info "debug" ~doc) Term.(const f $ target_arg $ seed_arg)
 
@@ -1503,27 +1410,25 @@ let disasm_cmd =
              loop hoisting).")
   in
   let f target patch =
-    match source_of_arg target with
+    let source, _seed = source_of_arg target in
+    match Ebp_lang.Compiler.compile source with
     | Error msg -> exit_err msg
-    | Ok (source, _seed) -> (
-        match Ebp_lang.Compiler.compile source with
-        | Error msg -> exit_err msg
-        | Ok compiled ->
-            let base = compiled.Ebp_lang.Compiler.program in
-            let program =
-              match patch with
-              | None -> base
-              | Some `Tp -> Ebp_wms.Trap_patch.program (Ebp_wms.Trap_patch.instrument base)
-              | Some `Cp -> Ebp_wms.Code_patch.program (Ebp_wms.Code_patch.instrument base)
-              | Some `Hcp ->
-                  let patched = Ebp_wms.Hoisted_code_patch.instrument base in
-                  Printf.eprintf "; %d stores, %d hoisted, %d loops optimized\n"
-                    (Ebp_wms.Hoisted_code_patch.patched_stores patched)
-                    (Ebp_wms.Hoisted_code_patch.hoisted_stores patched)
-                    (Ebp_wms.Hoisted_code_patch.loops_optimized patched);
-                  Ebp_wms.Hoisted_code_patch.program patched
-            in
-            print_string (Ebp_isa.Asm.print program))
+    | Ok compiled ->
+        let base = compiled.Ebp_lang.Compiler.program in
+        let program =
+          match patch with
+          | None -> base
+          | Some `Tp -> Ebp_wms.Trap_patch.program (Ebp_wms.Trap_patch.instrument base)
+          | Some `Cp -> Ebp_wms.Code_patch.program (Ebp_wms.Code_patch.instrument base)
+          | Some `Hcp ->
+              let patched = Ebp_wms.Hoisted_code_patch.instrument base in
+              Printf.eprintf "; %d stores, %d hoisted, %d loops optimized\n"
+                (Ebp_wms.Hoisted_code_patch.patched_stores patched)
+                (Ebp_wms.Hoisted_code_patch.hoisted_stores patched)
+                (Ebp_wms.Hoisted_code_patch.loops_optimized patched);
+              Ebp_wms.Hoisted_code_patch.program patched
+        in
+        print_string (Ebp_isa.Asm.print program)
   in
   Cmd.v (Cmd.info "disasm" ~doc) Term.(const f $ target_arg $ patch_arg)
 

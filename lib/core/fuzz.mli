@@ -3,7 +3,7 @@
 
     A seed deterministically generates a small, always-terminating MiniC
     program (bounded loops, masked recursion depth and subscripts,
-    constant divisors), which is then pushed through ten oracles:
+    constant divisors), which is then pushed through nine oracles:
 
     + {b record} — it compiles, runs without a runtime error, and halts
       with exit code 0;
@@ -15,11 +15,11 @@
       TP, CP, VB), armed on the same globals over the same program, all
       arm cleanly and report identical (pc, interval) notification
       sequences;
-    + {b trace-codec} / {b columnar-codec} / {b index-codec} — the
-      EBPT2, EBPT3 and EBPW2 codecs round-trip the recording
-      bit-identically;
+    + {b columnar-codec} / {b index-codec} — the EBPT3 and EBPW2 codecs
+      round-trip the recording exactly ({!Ebp_trace.Trace.equal},
+      {!Ebp_trace.Write_index.equal});
     + {b stream-vs-batch} — the streaming recorder reproduces the batch
-      trace byte-for-byte with an incremental index equal to the batch
+      trace exactly, with an incremental index equal to the batch
       build;
     + {b scan-vs-indexed} — both phase-2 replay engines produce identical
       session counts;

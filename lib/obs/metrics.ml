@@ -73,6 +73,11 @@ let register kind count names name =
           Hashtbl.add kinds name (kind, i);
           i)
 
+let registered () =
+  locked (fun () ->
+      Hashtbl.fold (fun name (k, _) acc -> (name, kind_name k) :: acc) kinds [])
+  |> List.sort compare
+
 let counter name = register C ncounters counter_names name
 let histogram name = register H nhists hist_names name
 

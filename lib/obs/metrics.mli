@@ -53,6 +53,12 @@ val histogram : string -> histogram
     ([1..63]) holds [2^(k-1) <= v < 2^k]. Count, sum, min, and max are
     tracked exactly; the distribution is bucketed. *)
 
+val registered : unit -> (string * string) list
+(** Every registered name with its kind (["counter"], ["gauge"] or
+    ["histogram"]), sorted by name — unset gauges included, unlike
+    {!snapshot}. The metric catalogs in the docs are checked against
+    this. *)
+
 (** {1 Updates (hot path)} *)
 
 val incr : counter -> unit

@@ -37,7 +37,7 @@ let create ?(block_events = Stream.default_block_events)
 
 (* Machine.run's default fuel: a live recording consumes exactly the
    budget a batch [Recorder.record] would, so the completed stream is
-   byte-identical to the batch trace even for programs that hit it. *)
+   equal to the batch trace even for programs that hit it. *)
 let total_fuel = 200_000_000
 let slice = 262_144
 

@@ -11,8 +11,8 @@
     Prefix consistency is inherited from {!Ebp_trace.Stream.read_prefix};
     index-vs-batch equality from {!Ebp_trace.Write_index.Incremental}
     (fault-degraded builders yield [None] and the caller replans without
-    an index). A completed job's trace is byte-identical to the batch
-    recorder's, so final answers match batch answers. *)
+    an index). A completed job's trace equals the batch recorder's
+    ({!Ebp_trace.Trace.equal}), so final answers match batch answers. *)
 
 type t
 

@@ -6,12 +6,10 @@
     + {b warm} — the (trace, index) pair is already resident; the request
       pays a hash lookup.
     + {b disk} — the {!Ebp_trace.Trace_cache} under [cache_dir] holds the
-      entry. When its EBPT3 columnar sidecar is intact the "load" is an
-      [mmap] — the resident tier then caches the {e mapping}, one
-      page-cache copy shared with every other process mapping the same
-      file, not a decoded copy; otherwise the request pays an EBPT2
-      decode. Either way an index build happens only when no [.widx]
-      entry exists yet (the built index is stored back), chunked across
+      entry. The "load" is an [mmap] of its EBPT3 file — the resident
+      tier then caches the {e mapping}, one page-cache copy shared with
+      every other process mapping the same file, not a decoded copy. An
+      index build happens only when no [.widx] entry exists yet (the built index is stored back), chunked across
       the server's pool when one is supplied.
     + {b cold} — nothing anywhere; the program is recorded from source,
       then stored to both tiers (best-effort on disk).

@@ -107,6 +107,6 @@ val record_source_stream :
 (** Compile MiniC source and stream-record a run of it through a fresh
     {!Stream.Writer} emitting to [write]; returns the run result and the
     total event count. The completed stream {!Stream.read} back is
-    byte-identical (under {!Trace.encode}) to what {!record_source}
+    equal (under {!Trace.equal}) to what {!record_source}
     builds — the workload synthesizer's large traces go through here so
     generation never materializes the whole trace. *)

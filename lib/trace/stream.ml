@@ -8,8 +8,8 @@
               payload bytes
               CRC-32 of the payload, 4 bytes LE
 
-   Block payload (struct-of-arrays, EBPT2's column encodings restarted
-   per block so every block decodes independently):
+   Block payload (struct-of-arrays, varint columns whose delta chains
+   restart per block so every block decodes independently):
 
      uvarint ndescs, then per new object: uvarint length + descriptor
        (objects appear in the block where they are registered, in id
@@ -20,6 +20,10 @@
      column 2: lo, zigzag-varint delta against the previous event's lo
      column 3: hi - lo as uvarint
      column 4: pc, zigzag-varint delta, write events only
+
+   Varints are LEB128 (7-bit groups, low first, high bit =
+   continuation); zigzag maps the sign to bit 0 so small negative deltas
+   stay short. Sequential stores from a few pcs cost 4-6 bytes an event.
 
    Fin payload: uvarint total events, uvarint total objects — a
    consistency check that the stream was closed deliberately.
@@ -265,7 +269,7 @@ module Payload = struct
   let svarint p = unzigzag (uvarint p)
 
   let string p n =
-    if n < 0 || p.pos + n > p.stop then raise (Bad "short record");
+    if n < 0 || n > p.stop - p.pos then raise (Bad "short record");
     let str = String.sub p.s p.pos n in
     p.pos <- p.pos + n;
     str
@@ -281,6 +285,10 @@ let decode_block b payload =
     | None -> raise (Bad ("bad object descriptor: " ^ str))
   done;
   let count = Payload.uvarint p in
+  (* Every event spends at least three bytes across its columns: a
+     larger count is a writer bug, and must not size the arrays below. *)
+  if count < 0 || count > (p.Payload.stop - p.Payload.pos) / 3 then
+    raise (Bad "bad event count");
   let w0s = Array.init count (fun _ -> Payload.uvarint p) in
   let los = Array.make count 0 in
   let prev = ref 0 in
@@ -288,7 +296,12 @@ let decode_block b payload =
     prev := !prev + Payload.svarint p;
     los.(i) <- !prev
   done;
-  let widths = Array.init count (fun _ -> Payload.uvarint p) in
+  let widths =
+    Array.init count (fun _ ->
+        let w = Payload.uvarint p in
+        if w < 0 then raise (Bad "negative event width");
+        w)
+  in
   let prev_pc = ref 0 in
   for i = 0 to count - 1 do
     let w0 = w0s.(i) in
@@ -334,7 +347,9 @@ let read_raw s =
         try Payload.uvarint hdr with Bad _ -> raise (Bad "truncated header")
       in
       if block_events <= 0 then raise (Bad "bad block size");
-      let b = Trace.Builder.create ~hint:block_events () in
+      (* The header rides no CRC, so a damaged block size must not size
+         the builder beyond what the bytes could hold. *)
+      let b = Trace.Builder.create ~hint:(min block_events (len / 3)) () in
       let high_water = ref 0 in
       let complete = ref false in
       let stop = ref false in
@@ -346,7 +361,7 @@ let read_raw s =
           match
             (* Record framing: torn or corrupt → [Cut], ending the
                prefix at the previous record. *)
-            let need n = if !pos + n > len then raise Cut in
+            let need n = if n < 0 || n > len - !pos then raise Cut in
             let byte () =
               need 1;
               let c = Char.code s.[!pos] in

@@ -9,9 +9,8 @@
     Layout, seal/merge rules, and the consistency argument are documented
     in [docs/STREAMING.md].
 
-    A completed stream {!read} back is byte-identical (under
-    {!Trace.encode}) to the trace the batch recorder would have built
-    from the same run — the blocks carry exactly the builder's packed
+    A completed stream {!read} back is equal (under {!Trace.equal}) to
+    the trace the batch recorder would have built from the same run — the blocks carry exactly the builder's packed
     events and descriptor table, split at block boundaries. *)
 
 val magic : string

@@ -16,8 +16,8 @@ let tag_write = 2
 (* Two physical layouts behind one abstract type:
 
    - [Heap]: the classic interleaved [int array] (4 ints per event). The
-     builder, the text codec, and the EBPT2 binary decoder all produce
-     this form.
+     builder, the stream reader, and the fully-checked EBPT3 decoder all
+     produce this form.
    - [Mapped]: the EBPT3 columnar form — four struct-of-arrays columns
      read in place from an mmap'd file as int Bigarrays, plus per-block
      min/max summaries. Nothing is decoded on load and nothing lives on
@@ -36,12 +36,15 @@ type mapped = {
      max write hi. *)
   m_summaries : int_column;
   m_block_events : int;
-  (* Bounds of every install/remove range in the trace ([max_int] /
-     [min_int] when there are none): anything a session can monitor lies
-     inside, so a pure-write block disjoint from these bounds cannot
-     produce hits or page touches. *)
-  m_install_lo : int;
-  m_install_hi : int;
+  (* Bounds of every install/remove range in the trace, once derived:
+     anything a session can monitor lies inside, so a pure-write block
+     disjoint from them cannot produce hits or page touches. They are
+     derived from the events on first use, not taken from the header: a
+     wrong bound would skip blocks that hold hits, and checking the
+     header's copy at load time would read the lo/hi pages of every
+     install and remove on every warm lookup. Racing domains derive the
+     same value, so the cache needs no lock. *)
+  m_install : (int * int) option option Atomic.t;
 }
 
 type storage = Heap of int array | Mapped of mapped
@@ -141,9 +144,29 @@ let is_mapped t = match t.storage with Mapped _ -> true | Heap _ -> false
 
 let install_bounds t =
   match t.storage with
-  | Mapped m when m.m_install_lo <= m.m_install_hi ->
-      Some (m.m_install_lo, m.m_install_hi)
-  | _ -> None
+  | Heap _ -> None
+  | Mapped m -> (
+      match Atomic.get m.m_install with
+      | Some bounds -> bounds
+      | None ->
+          (* Blocks whose (load-checked) summary counts no install or
+             remove hold nothing to read. *)
+          let lo = ref max_int and hi = ref min_int in
+          for b = 0 to (Bigarray.Array1.dim m.m_summaries / 4) - 1 do
+            if m.m_summaries.{4 * b} > 0 then
+              for i = b * m.m_block_events
+                  to min t.count ((b + 1) * m.m_block_events) - 1 do
+                if Bigarray.Array1.unsafe_get m.m_w0 i <> tag_write then begin
+                  let l = Bigarray.Array1.unsafe_get m.m_lo i in
+                  let h = Bigarray.Array1.unsafe_get m.m_hi i in
+                  if l < !lo then lo := l;
+                  if h > !hi then hi := h
+                end
+              done
+          done;
+          let bounds = if !lo <= !hi then Some (!lo, !hi) else None in
+          Atomic.set m.m_install (Some bounds);
+          bounds)
 
 (* Column access, one closure per column: cold consumers (the codecs,
    [get]) dispatch on the storage once and then read either layout
@@ -271,7 +294,7 @@ let pp_stats ppf s =
     "events=%d installs=%d removes=%d writes=%d objects=%d write_bytes=%d"
     s.events s.installs s.removes s.writes s.distinct_objects s.write_bytes
 
-(* --- text codec --- *)
+(* --- text dump --- *)
 
 let to_text t =
   let buf = Buffer.create (t.count * 24) in
@@ -291,64 +314,41 @@ let to_text t =
       Buffer.add_char buf '\n');
   Buffer.contents buf
 
-let of_text text =
-  let b = Builder.create () in
-  let error = ref None in
-  List.iteri
-    (fun lineno line ->
-      if !error = None && String.trim line <> "" then
-        let fail msg = error := Some (Printf.sprintf "line %d: %s" (lineno + 1) msg) in
-        match String.split_on_char ' ' (String.trim line) with
-        | [ "W"; lo; hi; pc ] -> (
-            match (int_of_string_opt lo, int_of_string_opt hi, int_of_string_opt pc) with
-            | Some lo, Some hi, Some pc when lo <= hi ->
-                Builder.add_write b (Interval.make ~lo ~hi) ~pc
-            | _ -> fail "bad write event")
-        | [ tag; obj; lo; hi ] when tag = "I" || tag = "R" -> (
-            match
-              (Object_desc.of_string obj, int_of_string_opt lo, int_of_string_opt hi)
-            with
-            | Some obj, Some lo, Some hi when lo <= hi ->
-                let range = Interval.make ~lo ~hi in
-                if tag = "I" then Builder.add_install b obj range
-                else Builder.add_remove b obj range
-            | _ -> fail "bad install/remove event")
-        | _ -> fail "unrecognized event")
-    (String.split_on_char '\n' text);
-  match !error with Some msg -> Error msg | None -> Ok (Builder.finish b)
+(* --- structural equality ---
 
-(* --- binary codec ---
+   Two traces are equal when they hold the same object table and the
+   same events, field by field as [iter_raw] presents them, whatever
+   their storage. This is the reference the codecs, the streaming
+   recorder and the cache are checked against, so it depends on no
+   codec itself. *)
 
-   EBPT2 is a struct-of-arrays layout: after the header, each event field
-   is one contiguous column, encoded with LEB128 varints.
-
-     magic "EBPT2"
-     uvarint nobjs, then per object: uvarint length + descriptor string
-     uvarint count
-     column 1: w0 (tagged object word) as uvarint, per event
-     column 2: lo, zigzag-varint delta against the previous event's lo
-     column 3: hi - lo as uvarint (store widths: almost always 0 or 3)
-     column 4: pc, zigzag-varint delta against the previous *write*'s pc,
-               write events only (install/remove pcs are -1 by
-               construction and are reconstructed, not stored)
-
-   Both delta chains start from 0. Traces have strong spatial (lo) and
-   code (pc) locality, so a write event typically costs 4-6 bytes against
-   the 32 of the old fixed-width codec. Varints are chains of 7-bit
-   groups, low first, high bit = continuation; zigzag maps sign bit to
-   bit 0 ((v lsl 1) lxor (v asr 62) on 63-bit ints) so small negative
-   deltas stay short. *)
+let equal a b =
+  a.count = b.count
+  && Array.length a.objs = Array.length b.objs
+  && Array.for_all2 Object_desc.equal a.objs b.objs
+  &&
+  let w0 = column_getter a 0 and w0' = column_getter b 0 in
+  let lo = column_getter a 1 and lo' = column_getter b 1 in
+  let hi = column_getter a 2 and hi' = column_getter b 2 in
+  let pc = column_getter a 3 and pc' = column_getter b 3 in
+  let rec same i =
+    i = a.count
+    || (let w = w0 i in
+        w = w0' i
+        && lo i = lo' i
+        && hi i = hi' i
+        && (w land 3 <> tag_write || pc i = pc' i)
+        && same (i + 1))
+  in
+  same 0
 
 module Metrics = Ebp_obs.Metrics
 module Obs_span = Ebp_obs.Span
 
-let m_bytes_out = Metrics.counter "trace.codec.bytes_out"
-let m_bytes_in = Metrics.counter "trace.codec.bytes_in"
 let m_columnar_out = Metrics.counter "trace.codec.columnar_bytes_out"
 let m_mapped_bytes = Metrics.counter "trace.codec.mapped_bytes"
 
-let codec_version = "EBPT2"
-
+(* LEB128: 7-bit groups, low first, high bit = continuation. *)
 let add_uvarint buf v =
   let rec go v =
     if 0 <= v && v < 0x80 then Buffer.add_char buf (Char.unsafe_chr v)
@@ -359,143 +359,7 @@ let add_uvarint buf v =
   in
   go v
 
-let[@inline] zigzag v = (v lsl 1) lxor (v asr 62)
-let[@inline] unzigzag v = (v lsr 1) lxor (- (v land 1))
-
-let add_svarint buf v = add_uvarint buf (zigzag v)
-
-let encode t =
-  Obs_span.with_span "codec.encode" @@ fun () ->
-  let w0_at = column_getter t 0
-  and lo_at = column_getter t 1
-  and hi_at = column_getter t 2
-  and pc_at = column_getter t 3 in
-  let buf = Buffer.create (64 + (t.count * 6)) in
-  Buffer.add_string buf codec_version;
-  add_uvarint buf (Array.length t.objs);
-  Array.iter
-    (fun obj ->
-      let s = Object_desc.to_string obj in
-      add_uvarint buf (String.length s);
-      Buffer.add_string buf s)
-    t.objs;
-  add_uvarint buf t.count;
-  for i = 0 to t.count - 1 do
-    add_uvarint buf (w0_at i)
-  done;
-  let prev_lo = ref 0 in
-  for i = 0 to t.count - 1 do
-    let lo = lo_at i in
-    add_svarint buf (lo - !prev_lo);
-    prev_lo := lo
-  done;
-  for i = 0 to t.count - 1 do
-    add_uvarint buf (hi_at i - lo_at i)
-  done;
-  let prev_pc = ref 0 in
-  for i = 0 to t.count - 1 do
-    if w0_at i land 3 = tag_write then begin
-      let pc = pc_at i in
-      add_svarint buf (pc - !prev_pc);
-      prev_pc := pc
-    end
-  done;
-  let s = Buffer.contents buf in
-  Metrics.add m_bytes_out (String.length s);
-  s
-
 exception Malformed of string
-
-let p_decode = Ebp_util.Fault.point "trace.codec.decode"
-
-let decode s =
-  Obs_span.with_span "codec.decode" @@ fun () ->
-  match Ebp_util.Fault.fires p_decode with
-  | Some _ -> Error "injected fault at trace.codec.decode"
-  | None ->
-  let len = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Malformed msg) in
-  let next_byte () =
-    if !pos >= len then fail "truncated trace";
-    let b = Char.code (String.unsafe_get s !pos) in
-    incr pos;
-    b
-  in
-  let read_uvarint () =
-    let rec go shift acc =
-      (* 9 groups cover all 63 bits; a longer chain is corrupt. *)
-      if shift > 56 then fail "oversized varint in trace";
-      let b = next_byte () in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b < 0x80 then acc else go (shift + 7) acc
-    in
-    go 0 0
-  in
-  let read_svarint () = unzigzag (read_uvarint ()) in
-  match
-    if len < String.length codec_version
-       || String.sub s 0 (String.length codec_version) <> codec_version
-    then Error "bad trace magic"
-    else begin
-      pos := String.length codec_version;
-      let nobjs = read_uvarint () in
-      if nobjs < 0 || nobjs > len - !pos then fail "bad object count in trace";
-      let objs =
-        Array.init nobjs (fun _ ->
-            let slen = read_uvarint () in
-            if slen < 0 || slen > len - !pos then fail "truncated trace";
-            let str = String.sub s !pos slen in
-            pos := !pos + slen;
-            match Object_desc.of_string str with
-            | Some o -> o
-            | None -> fail "bad object descriptor in trace")
-      in
-      let count = read_uvarint () in
-      (* Every event spends at least 3 bytes across its columns, so the
-         count is bounded by the remaining payload — this rejects corrupt
-         headers before the allocation below. *)
-      if count < 0 || count > len - !pos then fail "bad event count in trace";
-      let data = Array.make (count * stride) 0 in
-      for i = 0 to count - 1 do
-        let w0 = read_uvarint () in
-        let tag = w0 land 3 in
-        if tag > tag_write then fail "bad event tag in trace";
-        if tag <> tag_write && w0 lsr 2 >= nobjs then
-          fail "bad object id in trace";
-        data.(i * stride) <- w0
-      done;
-      let prev_lo = ref 0 in
-      for i = 0 to count - 1 do
-        let lo = !prev_lo + read_svarint () in
-        data.((i * stride) + 1) <- lo;
-        prev_lo := lo
-      done;
-      for i = 0 to count - 1 do
-        let base = i * stride in
-        data.(base + 2) <- data.(base + 1) + read_uvarint ()
-      done;
-      let prev_pc = ref 0 in
-      for i = 0 to count - 1 do
-        let base = i * stride in
-        if data.(base) land 3 = tag_write then begin
-          let pc = !prev_pc + read_svarint () in
-          data.(base + 3) <- pc;
-          prev_pc := pc
-        end
-        else data.(base + 3) <- -1
-      done;
-      if !pos <> len then fail "trailing bytes in trace";
-      Metrics.add m_bytes_in len;
-      Ok { storage = Heap data; count; objs }
-    end
-  with
-  | result -> result
-  | exception Malformed msg -> Error msg
-
-let write_binary oc t = output_string oc (encode t)
-
-let read_binary ic = decode (In_channel.input_all ic)
 
 (* --- EBPT3: the mmap-able columnar layout ---
 
@@ -503,9 +367,9 @@ let read_binary ic = decode (In_channel.input_all ic)
    words, 8-byte aligned, so a warm load is a single [Unix.map_file]:
    no per-event decode, no OCaml-heap allocation proportional to the
    trace, and the page cache shares one physical copy across every
-   domain and every process that maps it. The price is size (32 B/event
-   against EBPT2's ~5) — EBPT3 files are cache sidecars of the compact
-   canonical entry, never the only copy.
+   domain and every process that maps it. The price is size: 32 B/event,
+   where the varint blocks of a saved stream (Stream, EBPB1) take about
+   5. A cache entry is one EBPT3 file and nothing else.
 
      bytes 0-7    magic "EBPT3\0\0\0"
      bytes 8-71   8 header words (8-byte LE):
@@ -524,14 +388,16 @@ let read_binary ic = decode (In_channel.input_all ic)
 
    [decode_columnar] verifies everything including the CRC (it is what
    [ebp cache verify] and the fuzzer's columnar oracle run).
-   [map_columnar] is the hot path: it validates the header, the object
-   table, the exact file length, the trailer magic, and the whole w0
-   column (tags and object ids), but — deliberately — not the CRC of the
-   column payload: checksumming tens of megabytes on every warm load
-   would cost more than the decode it replaces. Full-payload integrity
-   is the job of the sealed write path, [ebp cache verify], and — when
-   fault injection is active, which is exactly when bytes get mangled in
-   flight — [~verify:true]. docs/PERFORMANCE.md states the tradeoff.
+   [map_columnar] is the hot path: it validates every header word, the
+   object table, the exact file length, the trailer, and the whole w0
+   column (tags, object ids, per-block tag counts against the
+   summaries), but — deliberately — not the CRC of the column payload: checksumming
+   tens of megabytes on every warm load would cost more than the load
+   itself. Full-payload integrity is the job of the sealed write path,
+   [ebp cache verify], and — when fault injection is active, which is
+   exactly when bytes get mangled in flight — the cache's lookup, which
+   then runs [decode_columnar] too. docs/PERFORMANCE.md states the
+   tradeoff.
 
    The summaries give consumers block skipping: a block whose summary
    shows no install/remove events and whose write range cannot overlap
@@ -552,10 +418,9 @@ let p_map = Ebp_util.Fault.point "trace.codec.map"
 
 let align8 n = (n + 7) land lnot 7
 
-(* The columnar object table. EBPT2 stores each descriptor's printed
-   form and re-parses it on load; at half a million descriptors
-   (lattice) that parse costs more than mapping every column combined.
-   EBPT3 stores descriptors directly: a pool of the distinct strings
+(* The columnar object table. Parsing each descriptor's printed form
+   on load would cost more, at half a million descriptors (lattice),
+   than mapping every column combined. EBPT3 stores descriptors directly: a pool of the distinct strings
    (function and variable names repeat across activations, so the pool
    stays tiny), then per descriptor a tag byte plus varint pool indices
    and integers. Loading allocates each distinct name once and one
@@ -771,7 +636,15 @@ let parse_columnar_header ~file_len first_bytes =
     fail "columnar trace too short";
   if String.sub first_bytes 0 8 <> columnar_magic then
     fail "bad columnar magic";
-  let word i = Int64.to_int (String.get_int64_le first_bytes (8 + (8 * i))) in
+  (* An OCaml int holds 63 bits, so the encoder's words are
+     sign-extended: a top bit that disagrees with bit 62 is damage that
+     [Int64.to_int] would otherwise drop unseen. *)
+  let word i =
+    let w = String.get_int64_le first_bytes (8 + (8 * i)) in
+    let v = Int64.to_int w in
+    if Int64.of_int v <> w then fail "columnar header word out of range";
+    v
+  in
   let h_count = word 0 and h_nobjs = word 1 in
   let h_meta_len = word 2 and h_objs_len = word 3 in
   let h_block_events = word 4 and h_nblocks = word 5 in
@@ -779,7 +652,10 @@ let parse_columnar_header ~file_len first_bytes =
   let h_body_len = file_len - columnar_trailer_len in
   if h_count < 0 || h_nobjs < 0 || h_meta_len < 0 || h_objs_len < 0 then
     fail "negative size in columnar header";
-  if h_block_events <= 0 then fail "bad columnar block size";
+  (* The encoder writes one block size: anything else is damage, and a
+     single-block trace would not show it in the block count. *)
+  if h_block_events <> columnar_block_events then
+    fail "bad columnar block size";
   if h_nblocks <> (h_count + h_block_events - 1) / h_block_events then
     fail "bad columnar block count";
   if h_meta_len > h_body_len || h_objs_len > h_body_len - h_meta_len then
@@ -793,11 +669,12 @@ let parse_columnar_header ~file_len first_bytes =
     h_install_lo; h_install_hi; h_data_off; h_body_len;
   }
 
+(* A write's word is exactly its tag (it names no object); an install's
+   or remove's is [id lsl 2 lor tag] with [id < nobjs]. Anything else —
+   a bad tag or id, or a write word with upper bits set — is damage. *)
 let check_w0 ~nobjs w0 =
-  let tag = w0 land 3 in
-  if tag > tag_write then raise (Malformed "bad event tag in columnar trace");
-  if tag <> tag_write && w0 lsr 2 >= nobjs then
-    raise (Malformed "bad object id in columnar trace")
+  if w0 <> tag_write && (w0 land 2 <> 0 || w0 lsr 2 >= nobjs) then
+    raise (Malformed "bad event word in columnar trace")
 
 let decode_columnar s =
   Obs_span.with_span "codec.decode_columnar" @@ fun () ->
@@ -843,7 +720,6 @@ let decode_columnar s =
         if Int64.to_int (String.get_int64_le s (sums_off + (8 * i))) <> v then
           fail "columnar block summary mismatch")
       sums;
-    Metrics.add m_bytes_in (String.length s);
     Ok (t, meta)
   with
   | result -> result
@@ -861,74 +737,81 @@ let really_read fd buf =
    with Unix.Unix_error _ -> raise (Malformed "unreadable columnar trace"));
   Bytes.unsafe_to_string buf
 
-let map_columnar ?(verify = false) path =
+(* The mapped load's one pass over the w0 column. Tags and object ids
+   are checked up front (they index OCaml arrays later), and each
+   block's install/remove and write counts are compared with its
+   summary, which block skipping trusts. It also faults in the pages of
+   the hottest column. The lo/hi/pc columns are plain integers: any
+   value is safe, and only the CRC covers them. *)
+let check_mapped h m =
+  let nobjs = h.h_nobjs and s = m.m_summaries in
+  for b = 0 to h.h_nblocks - 1 do
+    let first = b * h.h_block_events in
+    let stop = min h.h_count (first + h.h_block_events) in
+    let writes = ref 0 in
+    for i = first to stop - 1 do
+      let w0 = Bigarray.Array1.unsafe_get m.m_w0 i in
+      if w0 = tag_write then incr writes else check_w0 ~nobjs w0
+    done;
+    if s.{(4 * b) + 1} <> !writes || s.{4 * b} <> stop - first - !writes then
+      raise (Malformed "columnar block summary mismatch")
+  done
+
+let map_columnar path =
   Obs_span.with_span "codec.map" @@ fun () ->
   (* Raises [Fault.Injected] (a transient, retryable miss — the cache
-     falls back to the decoded entry without quarantining) rather than
-     returning [Error], which means "this file is bad". *)
+     reports a miss without quarantining) rather than returning [Error],
+     which means "this file is bad". *)
   Ebp_util.Fault.check p_map;
-  if verify then
-    (* The slow, fully-checked load: everything [decode_columnar]
-       rejects, this rejects. Used under fault injection, where mangled
-       bytes are the point. *)
-    match In_channel.with_open_bin path In_channel.input_all with
-    | exception Sys_error msg -> Error msg
-    | s -> decode_columnar s
-  else
-    match
-      let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-      let file_len = (Unix.fstat fd).Unix.st_size in
-      if file_len < columnar_header_len + columnar_trailer_len then
-        raise (Malformed "columnar trace too short");
-      let first = really_read fd (Bytes.create columnar_header_len) in
-      let h = parse_columnar_header ~file_len first in
-      (* meta + object table, read (not mapped): they are small and land
-         on the heap as ordinary values either way. *)
-      let blob = really_read fd (Bytes.create (h.h_meta_len + h.h_objs_len)) in
-      let meta = String.sub blob 0 h.h_meta_len in
-      let objs =
-        decode_obj_table ~nobjs:h.h_nobjs blob ~pos:h.h_meta_len
-          ~objs_end:(h.h_meta_len + h.h_objs_len)
-      in
-      ignore (Unix.lseek fd (file_len - columnar_trailer_len) Unix.SEEK_SET);
-      let trailer = really_read fd (Bytes.create 4) in
-      if trailer <> columnar_trailer_magic then
-        raise (Malformed "missing columnar checksum trailer");
-      let nsums = 4 * h.h_nblocks in
-      let dims = nsums + (stride * h.h_count) in
-      let arr =
-        if dims = 0 then
-          Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
-        else
-          Bigarray.array1_of_genarray
-            (Unix.map_file fd ~pos:(Int64.of_int h.h_data_off) Bigarray.int
-               Bigarray.c_layout false [| dims |])
-      in
-      let sub pos len = Bigarray.Array1.sub arr pos len in
-      let m =
-        {
-          m_summaries = sub 0 nsums;
-          m_w0 = sub nsums h.h_count;
-          m_lo = sub (nsums + h.h_count) h.h_count;
-          m_hi = sub (nsums + (2 * h.h_count)) h.h_count;
-          m_pc = sub (nsums + (3 * h.h_count)) h.h_count;
-          m_block_events = h.h_block_events;
-          m_install_lo = h.h_install_lo;
-          m_install_hi = h.h_install_hi;
-        }
-      in
-      (* One pass over the w0 column: every tag and object id is checked
-         up front (they index OCaml arrays later), and the pages of the
-         hottest column are faulted in while we are at it. The other
-         three columns are plain integers — any value is safe. *)
-      for i = 0 to h.h_count - 1 do
-        check_w0 ~nobjs:h.h_nobjs (Bigarray.Array1.unsafe_get m.m_w0 i)
-      done;
-      Metrics.add m_mapped_bytes file_len;
-      Ok ({ storage = Mapped m; count = h.h_count; objs }, meta)
-    with
-    | result -> result
-    | exception Malformed msg -> Error msg
-    | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
-    | exception Sys_error msg -> Error msg
+  match
+    let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    let file_len = (Unix.fstat fd).Unix.st_size in
+    if file_len < columnar_header_len + columnar_trailer_len then
+      raise (Malformed "columnar trace too short");
+    let first = really_read fd (Bytes.create columnar_header_len) in
+    let h = parse_columnar_header ~file_len first in
+    (* meta + object table, read (not mapped): they are small and land
+       on the heap as ordinary values either way. *)
+    let blob = really_read fd (Bytes.create (h.h_meta_len + h.h_objs_len)) in
+    let meta = String.sub blob 0 h.h_meta_len in
+    let objs =
+      decode_obj_table ~nobjs:h.h_nobjs blob ~pos:h.h_meta_len
+        ~objs_end:(h.h_meta_len + h.h_objs_len)
+    in
+    ignore (Unix.lseek fd h.h_body_len Unix.SEEK_SET);
+    let trailer = really_read fd (Bytes.create columnar_trailer_len) in
+    (* The CRC itself is not recomputed here, but a CRC-32 fills only
+       the low half of its 8-byte field: the high half must be zero. *)
+    if String.sub trailer 0 4 <> columnar_trailer_magic
+       || String.get_int32_le trailer 8 <> 0l
+    then raise (Malformed "missing columnar checksum trailer");
+    let nsums = 4 * h.h_nblocks in
+    let dims = nsums + (stride * h.h_count) in
+    let arr =
+      if dims = 0 then Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
+      else
+        Bigarray.array1_of_genarray
+          (Unix.map_file fd ~pos:(Int64.of_int h.h_data_off) Bigarray.int
+             Bigarray.c_layout false [| dims |])
+    in
+    let sub pos len = Bigarray.Array1.sub arr pos len in
+    let m =
+      {
+        m_summaries = sub 0 nsums;
+        m_w0 = sub nsums h.h_count;
+        m_lo = sub (nsums + h.h_count) h.h_count;
+        m_hi = sub (nsums + (2 * h.h_count)) h.h_count;
+        m_pc = sub (nsums + (3 * h.h_count)) h.h_count;
+        m_block_events = h.h_block_events;
+        m_install = Atomic.make None;
+      }
+    in
+    check_mapped h m;
+    Metrics.add m_mapped_bytes file_len;
+    Ok ({ storage = Mapped m; count = h.h_count; objs }, meta)
+  with
+  | result -> result
+  | exception Malformed msg -> Error msg
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  | exception Sys_error msg -> Error msg

@@ -110,8 +110,10 @@ val iter_raw_skipping :
 val install_bounds : t -> (int * int) option
 (** [Some (lo, hi)] covering every install/remove range in the trace —
     the address space outside it can never produce a session hit or page
-    touch. Available only on mapped traces (the EBPT3 header carries it);
-    [None] on heap traces or when the trace installs nothing. *)
+    touch. Available only on mapped traces, where it is derived from the
+    install/remove events on first use and cached (the EBPT3 header's
+    copy is checked by {!decode_columnar}, never trusted); [None] on heap
+    traces or when the trace installs nothing. *)
 
 val is_mapped : t -> bool
 (** [true] when the trace's columns live in an mmap'd file rather than on
@@ -138,35 +140,19 @@ type stats = {
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
+val equal : t -> t -> bool
+(** Structural equality: the same event count, the same object table
+    (by {!Object_desc.equal}), and every event's fields as {!iter_raw}
+    presents them, whatever the storage. The reference the codecs, the
+    streaming recorder and the cache are checked against. *)
+
 (** {2 Serialization} *)
 
 val to_text : t -> string
 (** One event per line: ["I <obj> <lo> <hi>"], ["R <obj> <lo> <hi>"],
-    ["W <lo> <hi> <pc>"]. *)
-
-val of_text : string -> (t, string) result
-
-val codec_version : string
-(** Magic/version tag of the binary codec ("EBPT2"). {!Trace_cache}
-    hashes it into every key, so bumping it orphans old cache entries
-    instead of misreading them. *)
-
-val encode : t -> string
-(** Serialize to the compact binary format: struct-of-arrays columns with
-    LEB128 varints, delta-encoded [lo] and write-[pc] chains (see the
-    codec comment in the implementation). A workload trace lands around
-    5 bytes/event against 32 for the old fixed-width layout. *)
-
-val decode : string -> (t, string) result
-(** Inverse of {!encode}. Rejects bad magic, truncated or trailing bytes,
-    unknown event tags, and out-of-range object ids. *)
-
-val write_binary : out_channel -> t -> unit
-(** [output_string oc (encode t)]. *)
-
-val read_binary : in_channel -> (t, string) result
-(** Decode a trace from [ic], consuming the channel to end-of-file (the
-    trace must be the final payload of the file). *)
+    ["W <lo> <hi> <pc>"]. A dump for people ([ebp trace --text]); nothing
+    reads it back. Saved traces are {!Stream} files, and cache entries
+    are EBPT3 files. *)
 
 (** {2 EBPT3 — the zero-copy columnar layout}
 
@@ -175,35 +161,37 @@ val read_binary : in_channel -> (t, string) result
     decode, no heap allocation proportional to the trace, one physical
     copy shared by every domain and process that maps the file. Files are
     self-sealed ("EBPZ" + CRC-32 trailer) and carry per-block min/max
-    summaries that {!iter_raw_skipping} turns into block skipping. The
-    full layout and the mmap lifetime/safety rules are documented in
+    summaries that {!iter_raw_skipping} turns into block skipping. An
+    EBPT3 file is the whole of a {!Trace_cache} trace entry. The full
+    layout and the mmap lifetime/safety rules are documented in
     [docs/PERFORMANCE.md]. *)
 
 val columnar_version : string
-(** Magic/version tag of the columnar codec ("EBPT3"); cache keys hash it
-    alongside {!codec_version}. *)
+(** Magic/version tag of the columnar codec ("EBPT3"); cache keys hash
+    it, so a format change orphans old entries instead of misreading
+    them. *)
 
 val encode_columnar : ?meta:string -> t -> string
 (** Serialize to a complete, self-sealed EBPT3 file image (header,
-    [meta], object table, block summaries, columns, CRC trailer). Larger
-    than {!encode} (32 B/event) — it buys load time with disk, so it is
-    written as a cache {e sidecar}, never the canonical copy. *)
+    [meta], object table, block summaries, columns, CRC trailer): 32
+    bytes per event plus the tables. *)
 
 val decode_columnar : string -> (t * string, string) result
 (** Fully-checked inverse of {!encode_columnar}: verifies the CRC, every
     header field against the file length, object descriptors, event tags
     and ids, and that the block summaries match the events. Returns a
     heap trace plus the embedded [meta]. This is the verification path
-    ([ebp cache verify], the fuzzer's columnar oracle). *)
+    ([ebp cache verify], cache lookups under fault injection, the
+    fuzzer's columnar oracle). *)
 
-val map_columnar : ?verify:bool -> string -> (t * string, string) result
+val map_columnar : string -> (t * string, string) result
 (** Map the EBPT3 file at [path] and return a trace reading its columns
-    in place. Validates the header, object table, exact file length,
-    trailer magic, and the whole w0 column (tags/object ids) — but not
-    the payload CRC, whose cost would rival the decode being avoided;
-    run [ebp cache verify] (or pass [~verify:true], which loads through
-    {!decode_columnar}) for full integrity checking. Any validation
-    failure or I/O error is [Error]; callers fall back to the EBPT2
-    entry. Under fault injection the [trace.codec.map] point may raise
-    {!Ebp_util.Fault.Injected} — a transient miss, distinct from a bad
-    file. *)
+    in place. Validates every header word, the object table, the exact
+    file length, the trailer magic, and the whole w0 column (tags, object
+    ids, each block's install/remove and write counts against its
+    summary) — but not the payload CRC, whose
+    cost would rival the load itself; run {!decode_columnar} ([ebp cache
+    verify]) for full integrity checking. Any validation failure or I/O
+    error is [Error]. Under fault injection the [trace.codec.map] point
+    may raise {!Ebp_util.Fault.Injected} — a transient miss, distinct
+    from a bad file. *)

@@ -1,28 +1,30 @@
-(* Entry layout: a sealed body plus a 12-byte integrity trailer.
+(* Entry layout. A trace entry is one self-sealed EBPT3 file,
+   [<key>.ebpt3]: header, caller meta, object table, block summaries,
+   columns, and a 12-byte trailer ("EBPZ" + 8-byte LE CRC-32 of
+   everything before it) — see Trace's columnar codec. Index and
+   checkpoint entries seal their codec's bytes under the same trailer:
 
-     body    = magic, 8-byte LE meta length, meta bytes, Trace.encode payload
+     body    = Write_index.encode / Checkpoint.encode payload
      trailer = "EBPZ", 8-byte LE CRC-32 of body
 
-   (Index entries seal a Write_index.encode body the same way.) The CRC
-   is verified before any decoding, so truncation and bit flips are
-   detected up front instead of surfacing as decoder errors — or worse,
-   silently decoding to different events. A failed check quarantines the
-   file (renamed [*.corrupt], counted, surfaced through the quarantine
-   hook) and reads as a miss, so the caller transparently re-records.
+   A sealed entry's CRC is verified before any decoding, so truncation
+   and bit flips are detected up front instead of surfacing as decoder
+   errors — or worse, silently decoding to different events. A trace
+   lookup maps its file with structural checks only; the full CRC runs
+   in [verify] and, under fault injection, in every lookup. A failed
+   check quarantines the file (renamed [*.corrupt], counted, surfaced
+   through the quarantine hook) and reads as a miss, so the caller
+   transparently re-records.
 
    The version string below is hashed into every key and includes the
-   trace codec version, so a format change (like the v2 -> v3 trailer
-   addition) silently orphans old entries instead of misreading them. *)
+   trace codec version, so a format change silently orphans old entries
+   instead of misreading them. *)
 
-(* v4: the trace key also owns two sidecar artifact families — the EBPT3
-   columnar image ([<key>.ebpt3], self-sealed, loaded by mmap) and the
-   write index ([<key>.<ikey>.widx], key-prefixed so GC can associate it
-   with its trace). Including the columnar codec version here orphans
-   every v3-era entry, including old bare [<ikey>.widx] files, which the
-   orphan sweep in {!gc} then reclaims. *)
-let version =
-  "ebp-trace-cache-v4:" ^ Trace.codec_version ^ "+" ^ Trace.columnar_version
-let magic = "EBPC3"
+(* v5: the EBPT3 file is the only trace artifact of a key. A v4 key
+   owned a varint-coded [<key>.trace] entry plus the [<key>.ebpt3] as a
+   sidecar; no v5 key names either file, and [gc] reclaims a v4 key's
+   files on sight (see [Stale_entry]). *)
+let version = "ebp-trace-cache-v5:" ^ Trace.columnar_version
 let trailer_magic = "EBPZ"
 let trailer_len = 12
 
@@ -37,7 +39,6 @@ module Crc32 = Ebp_util.Crc32
    until Metrics.set_enabled. *)
 let m_hits = Metrics.counter "trace_cache.hits"
 let m_misses = Metrics.counter "trace_cache.misses"
-let m_mapped_hits = Metrics.counter "trace_cache.mapped_hits"
 let m_index_hits = Metrics.counter "trace_cache.index_hits"
 let m_index_misses = Metrics.counter "trace_cache.index_misses"
 let m_ckpt_hits = Metrics.counter "trace_cache.checkpoint_hits"
@@ -91,8 +92,7 @@ let make_key ~name ~source ~seed ?fuel () =
           [ version; name; Digest.to_hex (Digest.string source);
             string_of_int seed; fuel ]))
 
-let entry_path ~dir ~key = Filename.concat dir (key ^ ".trace")
-let columnar_path ~dir ~key = Filename.concat dir (key ^ ".ebpt3")
+let trace_file ~key = key ^ ".ebpt3"
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -121,24 +121,6 @@ let unseal data =
     if stored <> Int64.of_int (Crc32.sub data ~pos:0 ~len:body_len) then
       Error "checksum mismatch"
     else Ok (String.sub data 0 body_len)
-
-let parse_entry body =
-  let hdr = String.length magic + 8 in
-  if String.length body < hdr then Error "entry header truncated"
-  else if String.sub body 0 (String.length magic) <> magic then
-    Error "bad entry magic"
-  else
-    let mlen = Int64.to_int (String.get_int64_le body (String.length magic)) in
-    (* A corrupt meta length must never size an allocation: clamp it
-       against the bytes actually present and report a miss. *)
-    if mlen < 0 || mlen > String.length body - hdr then
-      Error "meta length out of bounds"
-    else
-      let meta = String.sub body hdr mlen in
-      Result.map
-        (fun trace -> (trace, meta))
-        (Trace.decode
-           (String.sub body (hdr + mlen) (String.length body - hdr - mlen)))
 
 (* --- quarantine --- *)
 
@@ -215,39 +197,11 @@ let store_file ~dir ~path data =
   in
   attempt 0
 
-let entry_bytes_of ~meta trace =
-  let payload = Trace.encode trace in
-  let buf =
-    Buffer.create (String.length magic + 8 + String.length meta
-                   + String.length payload + trailer_len)
-  in
-  Buffer.add_string buf magic;
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int (String.length meta));
-  Buffer.add_bytes buf b;
-  Buffer.add_string buf meta;
-  Buffer.add_string buf payload;
-  seal (Buffer.contents buf)
-
-(* The compact EBPT2 entry is canonical and written first — the crash
-   fault points fire during its protocol, so a simulated kill leaves the
-   cache exactly as sparse as before sidecars existed. The columnar
-   sidecar is pure acceleration: its store is best-effort (a cache with
-   only the canonical entry is merely slower), but a [Killed] still
-   propagates — a simulated crash is a crash wherever it lands. *)
 let store ~dir ~key ?(meta = "") trace =
   timed m_store_ns @@ fun () ->
-  match store_file ~dir ~path:(entry_path ~dir ~key) (entry_bytes_of ~meta trace)
-  with
-  | Error _ as e -> e
-  | Ok () ->
-      (match
-         store_file ~dir
-           ~path:(columnar_path ~dir ~key)
-           (Trace.encode_columnar ~meta trace)
-       with
-      | Ok () | Error _ -> ());
-      Ok ()
+  store_file ~dir
+    ~path:(Filename.concat dir (trace_file ~key))
+    (Trace.encode_columnar ~meta trace)
 
 let index_key ~key ~page_sizes =
   Digest.to_hex
@@ -299,12 +253,11 @@ let read_file path =
   | exception Sys_error _ -> None
 
 (* Shared load path: read the whole file, pass it through the lookup
-   fault point, verify the trailer, then parse. An absent or unreadable
-   file is a plain miss; an injected transient read fault is a miss that
-   leaves the (possibly fine) entry alone; a failed integrity check or
-   parse quarantines the file and falls back to a miss, which makes the
-   caller re-record. *)
-let load_entry ~dir ~file parse =
+   fault point, then [check] it. An absent or unreadable file is a
+   plain miss; an injected transient read fault is a miss that leaves
+   the (possibly fine) entry alone; a failed check quarantines the file
+   and falls back to a miss, which makes the caller re-record. *)
+let load_entry ~dir ~file check =
   match read_file (Filename.concat dir file) with
   | None -> None
   | Some data -> (
@@ -312,46 +265,37 @@ let load_entry ~dir ~file parse =
       | exception Fault.Injected _ -> None
       | data -> (
           Metrics.add m_bytes_read (String.length data);
-          match Result.bind (unseal data) parse with
+          match check data with
           | Ok v -> Some v
           | Error reason ->
               quarantine ~dir ~file ~reason;
               None))
 
-let lookup_decoded ~dir ~key =
-  timed m_lookup_ns @@ fun () ->
-  let found = load_entry ~dir ~file:(key ^ ".trace") parse_entry in
-  Metrics.incr (match found with Some _ -> m_hits | None -> m_misses);
-  found
+(* Sealed entries: the trailer is verified before [decode] sees a byte. *)
+let sealed decode data = Result.bind (unseal data) decode
 
-(* The mapped tier: try to mmap the EBPT3 sidecar before paying for a
-   decode of the canonical entry. Under fault injection the mapping
-   verifies the full checksum (injected corruption targets exactly the
-   bytes the fast path trusts); a bad sidecar is quarantined and the
-   decoded path takes over, so the tier can only ever cost a fallback,
-   never an answer. *)
-let lookup_mapped ~dir ~key =
-  let file = key ^ ".ebpt3" in
-  if not (Sys.file_exists (Filename.concat dir file)) then None
-  else
-    match
-      Trace.map_columnar ~verify:(Fault.active ())
-        (Filename.concat dir file)
-    with
-    | exception Fault.Injected _ -> None
-    | Ok (trace, meta) ->
-        Metrics.incr m_mapped_hits;
-        Some (trace, meta)
-    | Error reason ->
-        quarantine ~dir ~file ~reason;
-        None
+let check_trace data = Result.map ignore (Trace.decode_columnar data)
 
+(* Map the entry with the structural checks of the fast path. Under
+   fault injection the mapping alone is not enough: injected corruption
+   targets exactly the bytes the fast path trusts, so the entry is also
+   read through the lookup fault point and checked in full, CRC
+   included, before the mapping is served. *)
 let lookup ~dir ~key =
   timed m_lookup_ns @@ fun () ->
+  let file = trace_file ~key in
+  let path = Filename.concat dir file in
   let found =
-    match lookup_mapped ~dir ~key with
-    | Some _ as hit -> hit
-    | None -> load_entry ~dir ~file:(key ^ ".trace") parse_entry
+    if not (Sys.file_exists path) then None
+    else
+      match Trace.map_columnar path with
+      | exception Fault.Injected _ -> None
+      | Error reason ->
+          quarantine ~dir ~file ~reason;
+          None
+      | Ok hit when not (Fault.active ()) -> Some hit
+      | Ok hit ->
+          Option.map (fun () -> hit) (load_entry ~dir ~file check_trace)
   in
   Metrics.incr (match found with Some _ -> m_hits | None -> m_misses);
   found
@@ -359,28 +303,28 @@ let lookup ~dir ~key =
 let lookup_index ~dir ~key ~page_sizes =
   timed m_lookup_ns @@ fun () ->
   let file = Filename.basename (index_path ~dir ~key ~page_sizes) in
-  let found = load_entry ~dir ~file Write_index.decode in
+  let found = load_entry ~dir ~file (sealed Write_index.decode) in
   Metrics.incr (match found with Some _ -> m_index_hits | None -> m_index_misses);
   found
 
 let lookup_checkpoints ~dir ~key =
   timed m_lookup_ns @@ fun () ->
   let file = Filename.basename (checkpoint_path ~dir ~key) in
-  let found = load_entry ~dir ~file Checkpoint.decode in
+  let found = load_entry ~dir ~file (sealed Checkpoint.decode) in
   Metrics.incr (match found with Some _ -> m_ckpt_hits | None -> m_ckpt_misses);
   found
 
 (* Garbage collection. The odoc contract is that entries never need
    invalidation (keys are content hashes over the codec version), only
    reclamation — so GC is pure space management: drop temp-file litter
-   from interrupted stores and quarantined corpses, then evict
-   coldest-first by mtime. *)
+   from interrupted stores, quarantined corpses and the files of older
+   cache versions, then evict coldest-first by mtime. *)
 
 type entry_kind =
   | Trace_entry
   | Index_entry
-  | Columnar_entry
   | Checkpoint_entry
+  | Stale_entry
   | Tmp_entry
   | Corrupt_entry
 
@@ -392,26 +336,24 @@ type entry = {
 }
 
 let classify file =
-  (* Quarantined corpses first ([<key>.trace.corrupt] must not count as a
-     trace); temp files look like [.<key>.traceNNNNN.tmp]. *)
+  (* Quarantined corpses first ([<key>.ebpt3.corrupt] must not count as
+     a trace); temp files look like [.<key>.ebpt3NNNNN.tmp]. *)
   if Filename.check_suffix file ".corrupt" then Some Corrupt_entry
-  else if Filename.check_suffix file ".trace" then Some Trace_entry
+  else if Filename.check_suffix file ".ebpt3" then Some Trace_entry
   else if Filename.check_suffix file ".widx" then Some Index_entry
-  else if Filename.check_suffix file ".ebpt3" then Some Columnar_entry
   else if Filename.check_suffix file ".ckpt" then Some Checkpoint_entry
+  else if Filename.check_suffix file ".trace" then Some Stale_entry
   else if Filename.check_suffix file ".tmp" && String.length file > 0
           && file.[0] = '.' then Some Tmp_entry
   else None
 
-(* The trace key a sidecar belongs to. Traces own themselves; new-style
-   index names are [<key>.<ikey>.widx], so the key is the leading dot
-   component — which also classifies a pre-v4 bare [<ikey>.widx] as
-   owned by a key that has no trace, i.e. an orphan. *)
+(* The trace key a file belongs to: [<key>.ebpt3] is the key's entry,
+   index and checkpoint names are [<key>.<ikey>.widx] and
+   [<key>.<ckey>.ckpt], and a v4 [<key>.trace] names the v4 key it was
+   written under. *)
 let owner_key e =
   match e.entry_kind with
-  | Trace_entry -> Some (Filename.chop_suffix e.entry_file ".trace")
-  | Columnar_entry -> Some (Filename.chop_suffix e.entry_file ".ebpt3")
-  | Index_entry | Checkpoint_entry -> (
+  | Trace_entry | Index_entry | Checkpoint_entry | Stale_entry -> (
       match String.index_opt e.entry_file '.' with
       | Some i -> Some (String.sub e.entry_file 0 i)
       | None -> None)
@@ -469,25 +411,27 @@ let gc ~dir ~max_bytes =
       (fun e -> e.entry_kind = Tmp_entry || e.entry_kind = Corrupt_entry)
       (entries ~dir)
   in
-  (* A sidecar (.widx, .ebpt3) whose owning trace entry is gone — deleted
-     by hand, evicted by an older GC, or stranded by the v4 renaming — is
-     dead weight no lookup will ever reach: reclaim it with the litter. *)
-  let trace_keys = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      if e.entry_kind = Trace_entry then
-        match owner_key e with
-        | Some k -> Hashtbl.replace trace_keys k ()
-        | None -> ())
-    live;
+  (* A key owns files only while its trace entry is here. An index or
+     checkpoint whose trace is gone — deleted by hand, or evicted by an
+     older GC — is dead weight no lookup will ever reach; so is every
+     file of a key that still has a v4 [.trace] entry, since no v5 key
+     names it. Reclaim them all with the litter. *)
+  let keys kind =
+    let h = Hashtbl.create 64 in
+    List.iter
+      (fun e ->
+        if e.entry_kind = kind then
+          Option.iter (fun k -> Hashtbl.replace h k ()) (owner_key e))
+      live;
+    h
+  in
+  let traces = keys Trace_entry and stale = keys Stale_entry in
   let orphans, live =
     List.partition
       (fun e ->
-        e.entry_kind <> Trace_entry
-        && not
-             (match owner_key e with
-             | Some k -> Hashtbl.mem trace_keys k
-             | None -> false))
+        match owner_key e with
+        | Some k -> Hashtbl.mem stale k || not (Hashtbl.mem traces k)
+        | None -> true)
       live
   in
   let drop acc e =
@@ -495,11 +439,11 @@ let gc ~dir ~max_bytes =
     if remove_entry ~dir e then (n + 1, b + e.entry_bytes) else acc
   in
   let acc = List.fold_left drop (0, 0) (litter @ orphans) in
-  (* Evict whole ownership groups (trace + its sidecars), coldest trace
-     first — [live] is oldest-mtime-first and every survivor has an owner
-     in [trace_keys], so walking it and deleting each entry's entire
-     group on first contact preserves the old coldest-first order while
-     never leaving a freshly-orphaned sidecar behind. *)
+  (* Evict whole ownership groups (a trace with its index and
+     checkpoint entries), coldest first — [live] is oldest-mtime-first
+     and every survivor's owner has a trace entry, so walking it and
+     deleting each entry's entire group on first contact keeps the
+     coldest-first order while never leaving a fresh orphan behind. *)
   let group_of key =
     List.filter (fun e -> owner_key e = Some key) live
   in
@@ -535,52 +479,32 @@ type verify_report = {
   tmp_litter : int;
 }
 
-let verify ?(quarantine = true) ~dir () =
-  let quarantine_one ~file ~reason =
-    if quarantine then
-      (* Reuse the lookup path's quarantine so the counter and hook see
-         scans and lookups alike. *)
-      (Metrics.incr m_quarantined;
-       (try
-          Sys.rename (Filename.concat dir file)
-            (Filename.concat dir (file ^ ".corrupt"))
-        with Sys_error _ -> ());
-       !quarantine_log ~file ~reason)
-  in
+let verify ?quarantine:(quarantine_corrupt = true) ~dir () =
   let checked = ref 0 and intact = ref 0 and tmp_litter = ref 0 in
   let corrupt = ref [] in
+  let scan e check =
+    incr checked;
+    let result =
+      match read_file (Filename.concat dir e.entry_file) with
+      | None -> Error "unreadable"
+      | Some data -> check data
+    in
+    match result with
+    | Ok () -> incr intact
+    | Error reason ->
+        corrupt := (e.entry_file, reason) :: !corrupt;
+        if quarantine_corrupt then quarantine ~dir ~file:e.entry_file ~reason
+  in
   List.iter
     (fun e ->
       match e.entry_kind with
+      | Trace_entry -> scan e check_trace
+      | Index_entry ->
+          scan e (sealed (fun body -> Result.map ignore (Write_index.decode body)))
+      | Checkpoint_entry ->
+          scan e (sealed (fun body -> Result.map ignore (Checkpoint.decode body)))
       | Tmp_entry -> incr tmp_litter
-      | Corrupt_entry -> ()
-      | Trace_entry | Index_entry | Columnar_entry | Checkpoint_entry -> (
-          incr checked;
-          let result =
-            match read_file (Filename.concat dir e.entry_file) with
-            | None -> Error "unreadable"
-            | Some data -> (
-                (* EBPT3 files are self-sealed: the decoder verifies its
-                   own CRC trailer (and more — the mmap fast path trusts
-                   it, so this is where a damaged sidecar gets caught). *)
-                match e.entry_kind with
-                | Columnar_entry ->
-                    Result.map ignore (Trace.decode_columnar data)
-                | Trace_entry ->
-                    Result.bind (unseal data) (fun body ->
-                        Result.map ignore (parse_entry body))
-                | Checkpoint_entry ->
-                    Result.bind (unseal data) (fun body ->
-                        Result.map ignore (Checkpoint.decode body))
-                | _ ->
-                    Result.bind (unseal data) (fun body ->
-                        Result.map ignore (Write_index.decode body)))
-          in
-          match result with
-          | Ok () -> incr intact
-          | Error reason ->
-              corrupt := (e.entry_file, reason) :: !corrupt;
-              quarantine_one ~file:e.entry_file ~reason))
+      | Stale_entry | Corrupt_entry -> ())
     (entries ~dir);
   {
     checked = !checked;

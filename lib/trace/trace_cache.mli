@@ -12,44 +12,38 @@
     {!make_key} hashes the tuple (codec version, program name, source
     digest, seed, fuel) into a hex string:
 
-    {[ MD5 ("ebp-trace-cache-v4:EBPT2+EBPT3" ^ name ^ MD5 (source) ^ seed ^ fuel) ]}
+    {[ MD5 ("ebp-trace-cache-v5:EBPT3" ^ name ^ MD5 (source) ^ seed ^ fuel) ]}
 
     Any input that could change the recorded events changes the key, so a
     stale entry can never be returned for modified source — entries need no
     invalidation, only garbage collection. The codec version is part of the
-    hash: a change to the binary trace format (or to the entry format
-    itself, as the v2 → v3 trailer addition was) bumps the constant and
-    orphans (rather than misparses) old entries.
+    hash: a change to the trace format (or to the entry layout itself, as
+    v5's one-file entry was) bumps the constant and orphans (rather than
+    misparses) old entries.
 
     {2 Storage and integrity}
 
-    One file per entry, [<dir>/<key>.trace]: a magic string, a small
-    length-prefixed metadata string supplied by the caller (the experiment
-    stores the base execution time there), then the {!Trace.encode}
-    payload — all sealed under a 12-byte trailer (["EBPZ"] plus the 8-byte
-    LE CRC-32 of everything before it). Writes go to a temporary file in
-    the same directory and are renamed into place, so a reader never
-    observes a partial entry and concurrent producers of the same key race
-    benignly; transient [Sys_error]s during a store are retried with
-    exponential backoff (counted in [trace_cache.store_retries]).
+    One file per entry, [<dir>/<key>.ebpt3]: the trace in the
+    {!Trace.encode_columnar} layout (EBPT3), with a small metadata string
+    supplied by the caller embedded in it (the experiment stores the base
+    execution time there), self-sealed under a 12-byte trailer (["EBPZ"]
+    plus the 8-byte LE CRC-32 of everything before it). Writes go to a
+    temporary file in the same directory and are renamed into place, so
+    a reader never observes a partial entry and concurrent producers of
+    the same key race benignly; transient [Sys_error]s during a store are
+    retried with exponential backoff (counted in
+    [trace_cache.store_retries]).
 
-    The trailer is verified {e before} any decoding, so truncation and bit
-    flips on disk are caught up front. A corrupt entry is quarantined —
-    renamed [<file>.corrupt], counted in [trace_cache.quarantined],
-    surfaced through {!set_quarantine_log} — and reported as a miss, never
-    an error, so the caller transparently re-records. An unreadable file
-    or directory is a plain miss.
-
-    {2 The mapped tier}
-
-    Next to each canonical entry, {!store} writes a best-effort
-    [<key>.ebpt3] sidecar: the same trace in the {!Trace.map_columnar}
-    zero-copy columnar layout. {!lookup} maps the sidecar when present
-    (counted in [trace_cache.mapped_hits]) and only decodes the EBPT2
-    entry when it is absent, damaged (quarantined like any entry), or a
-    fault is injected at [trace.codec.map]. Sidecars are disposable
-    acceleration: deleting one costs a slower next load, nothing else,
-    and {!gc} reclaims any left orphaned by a vanished trace. *)
+    {!lookup} maps the file ({!Trace.map_columnar}), so a warm load
+    decodes nothing. The mapping checks the file's structure — every
+    header word, the object table, the exact length, the trailer, the
+    whole w0 column — but not the payload CRC, which {!verify} checks in
+    full. While fault injection is active, every lookup checks the CRC
+    too. A damaged entry is quarantined — renamed [<file>.corrupt],
+    counted in [trace_cache.quarantined], surfaced through
+    {!set_quarantine_log} — and reported as a miss, never an error, so
+    the caller transparently re-records. An unreadable file or directory
+    is a plain miss. *)
 
 val default_dir : unit -> string
 (** [$XDG_CACHE_HOME/ebp] when [XDG_CACHE_HOME] is set and absolute,
@@ -74,14 +68,8 @@ val store :
 val lookup : dir:string -> key:string -> (Trace.t * string) option
 (** [lookup ~dir ~key] is [Some (trace, meta)] when an entry for [key]
     exists and passes its integrity check, [None] otherwise (quarantining
-    the file first if it exists but is corrupt). Prefers the mapped
-    columnar sidecar (see the mapped tier above), so the returned trace
-    usually satisfies {!Trace.is_mapped}. *)
-
-val lookup_decoded : dir:string -> key:string -> (Trace.t * string) option
-(** {!lookup} restricted to the canonical EBPT2 entry — always a decoded
-    heap trace, never a mapping. For consumers that must not hold the
-    file open (and the benchmark's decode-vs-map comparison). *)
+    the file first if it exists but is corrupt). The returned trace maps
+    the entry's file (it satisfies {!Trace.is_mapped}). *)
 
 val set_quarantine_log : (file:string -> reason:string -> unit) -> unit
 (** Install the hook called (synchronously, possibly from a pool worker)
@@ -162,10 +150,13 @@ val checkpoint_cached : dir:string -> key:string -> bool
     gauge for the GC entry points. *)
 
 type entry_kind =
-  | Trace_entry  (** a [<key>.trace] phase-1 recording *)
+  | Trace_entry  (** a [<key>.ebpt3] phase-1 recording *)
   | Index_entry  (** a [<key>.<ikey>.widx] write index *)
-  | Columnar_entry  (** a [<key>.ebpt3] zero-copy columnar sidecar *)
   | Checkpoint_entry  (** a [<key>.<ckey>.ckpt] checkpoint chain *)
+  | Stale_entry
+      (** a [<key>.trace] entry left by an older cache version (v4 and
+          before); never looked up, never verified, reclaimed by {!gc}
+          together with every file of its key *)
   | Tmp_entry    (** a [.<key>*.tmp] temp file orphaned by an interrupted
                      store *)
   | Corrupt_entry
@@ -191,17 +182,18 @@ val clear : dir:string -> int * int
 val gc : dir:string -> max_bytes:int -> int * int
 (** [gc ~dir ~max_bytes] first deletes all temp files (an interrupted
     store's litter — harmless to a store in flight, which degrades to a
-    warning), quarantined corpses, and orphaned sidecars ([.widx] or
-    [.ebpt3] files whose owning [<key>.trace] is gone), then evicts live
-    entries oldest-mtime-first until the directory's cache-owned
-    footprint is at most [max_bytes] — evicting whole ownership groups
-    (a trace together with its sidecars) so it never mints new orphans.
-    Returns [(removed, reclaimed_bytes)]. *)
+    warning), quarantined corpses, orphans ([.widx] or [.ckpt] files
+    whose owning [<key>.ebpt3] is gone) and every file of a key that
+    still has a [Stale_entry], then evicts live entries
+    oldest-mtime-first until the directory's cache-owned footprint is at
+    most [max_bytes] — evicting whole ownership groups (a trace together
+    with its index and checkpoint entries) so it never mints new
+    orphans. Returns [(removed, reclaimed_bytes)]. *)
 
 (** {2 Integrity scan} *)
 
 type verify_report = {
-  checked : int;  (** trace, index, and columnar entries examined *)
+  checked : int;  (** trace, index, and checkpoint entries examined *)
   intact : int;
   corrupt : (string * string) list;
       (** (file, reason), sorted by file name; already quarantined if
@@ -211,10 +203,10 @@ type verify_report = {
 
 val verify : ?quarantine:bool -> dir:string -> unit -> verify_report
 (** [verify ~dir ()] re-checks the trailer CRC and decodes every trace,
-    index, and columnar entry in [dir], quarantining the failures exactly
-    as a lookup would (pass [~quarantine:false] to only report).
-    Columnar sidecars get the {e full} {!Trace.decode_columnar} check —
+    index, and checkpoint entry in [dir], quarantining the failures
+    exactly as a lookup would (pass [~quarantine:false] to only report).
+    Trace entries get the {e full} {!Trace.decode_columnar} check —
     including the payload CRC the mmap fast path deliberately skips, so
-    this scan is the integrity backstop for the mapped tier.
-    Already-quarantined [*.corrupt] files are skipped. Drives
-    [ebp cache verify]. *)
+    this scan is the integrity backstop for warm lookups.
+    Already-quarantined [*.corrupt] files and stale entries of older
+    cache versions are skipped. Drives [ebp cache verify]. *)

@@ -209,57 +209,119 @@ let write_raw path data =
   output_string oc data;
   close_out oc
 
-(* Any single bit flip anywhere in a stored entry — header, meta, payload,
-   or trailer — must read as a miss (CRC-32 detects all single-bit
-   errors), never as a decode of different events. [lookup_decoded] is
-   the tier the seal guards; the full [lookup] would mask the damage by
-   serving the intact columnar sidecar, which is the point of the
-   sidecar (see the corrupt-sidecar cases in test_parallel.ml). *)
+let entry_path dir key = Filename.concat dir (key ^ ".ebpt3")
+
+let flip s i bit =
+  let b = Bytes.of_string s in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+  Bytes.unsafe_to_string b
+
+(* Put [data] in place of the entry at [path], run [f], then restore the
+   pristine entry (dropping any quarantined corpse). *)
+let with_damaged ~path ~original data f =
+  write_raw path data;
+  Fun.protect f ~finally:(fun () ->
+      let corpse = path ^ ".corrupt" in
+      if Sys.file_exists corpse then Sys.remove corpse;
+      write_raw path original)
+
+(* Fault injection active, nothing firing: every lookup checks the CRC. *)
+let with_checked_lookups f =
+  with_rules [ rule "test.never.evaluated" Fault.Always Fault.Fail ] f
+
+(* Any single bit flip anywhere in a stored entry — header, meta, object
+   table, summaries, columns, trailer — is caught by the full check:
+   [verify] reports it, and a lookup under fault injection (which checks
+   the CRC) misses instead of decoding different events. The mapped fast
+   path checks structure, not the payload CRC, so plain lookups are held
+   to what structure covers: every flip in the header and in the
+   trailer's magic and zero half, and every flip in the w0 column that
+   leaves a word ill-formed. The header's two install-bound words are
+   the exception: the mapping does not trust them (it derives the bounds
+   from the events), so a flip there that keeps the word in range serves
+   the same trace with the same bounds. *)
 let test_every_bitflip_detected () =
   with_temp_cache_dir (fun dir ->
       let key = Trace_cache.make_key ~name:"flip" ~source:"s" ~seed:1 () in
-      store_exn ~dir ~key (small_trace ());
-      let path = Filename.concat dir (key ^ ".trace") in
+      let trace = small_trace () in
+      store_exn ~dir ~key trace;
+      let path = entry_path dir key in
       let original = read_file path in
       let len = String.length original in
-      let step = max 1 (len / 96) in
-      let i = ref 0 in
-      while !i < len do
-        let bit = !i mod 8 in
-        let b = Bytes.of_string original in
-        Bytes.set b !i
-          (Char.chr (Char.code (Bytes.get b !i) lxor (1 lsl bit)));
-        write_raw path (Bytes.unsafe_to_string b);
-        (match Trace_cache.lookup_decoded ~dir ~key with
-        | None -> ()
-        | Some _ -> Alcotest.failf "flip at byte %d/%d not detected" !i len);
-        (* The corrupt file was quarantined; restore the entry. *)
-        let corpse = path ^ ".corrupt" in
-        if Sys.file_exists corpse then Sys.remove corpse;
-        write_raw path original;
-        i := !i + step
+      let damaged i bit f = with_damaged ~path ~original (flip original i bit) f in
+      for i = 0 to len - 1 do
+        for bit = 0 to 7 do
+          damaged i bit (fun () ->
+              if (Trace_cache.verify ~quarantine:false ~dir ()).Trace_cache.corrupt
+                 = []
+              then Alcotest.failf "verify missed bit %d of byte %d/%d" bit i len;
+              with_checked_lookups (fun () ->
+                  if Trace_cache.lookup ~dir ~key <> None then
+                    Alcotest.failf "checked lookup served bit %d of byte %d/%d"
+                      bit i len))
+        done
+      done;
+      let plain_miss what i bit =
+        damaged i bit (fun () ->
+            if Trace_cache.lookup ~dir ~key <> None then
+              Alcotest.failf "plain lookup served a flip of bit %d of %s byte %d"
+                bit what i)
+      in
+      let bounds =
+        Trace.install_bounds (fst (Option.get (Trace_cache.lookup ~dir ~key)))
+      in
+      for i = 0 to 71 do
+        for bit = 0 to 7 do
+          if i < 56 then plain_miss "header" i bit
+          else
+            damaged i bit (fun () ->
+                match Trace_cache.lookup ~dir ~key with
+                | None -> ()
+                | Some (t, _)
+                  when Trace.equal t trace && Trace.install_bounds t = bounds ->
+                    ()
+                | Some _ ->
+                    Alcotest.failf
+                      "install-bound flip (bit %d of byte %d) changed the load"
+                      bit i)
+        done
+      done;
+      (* The trailer: "EBPZ", then the CRC-32 in the low half of an
+         8-byte field whose high half must be zero. *)
+      List.iter
+        (fun i -> for bit = 0 to 7 do plain_miss "trailer" i bit done)
+        [ len - 12; len - 11; len - 10; len - 9; len - 4; len - 3; len - 2; len - 1 ];
+      let n = Trace.length trace and nobjs = Trace.object_count trace in
+      let w0_off = len - 12 - (8 * 4 * n) in
+      for e = 0 to n - 1 do
+        let w =
+          Trace.get_raw trace e (fun ~tag ~obj ~lo:_ ~hi:_ ~pc:_ ->
+              if tag = 2 then 2 else (obj lsl 2) lor tag)
+        in
+        for bit = 0 to 62 do
+          let w' = w lxor (1 lsl bit) in
+          (* An install read as a remove, or one in-range object read as
+             another, is well-formed: only the CRC sees it. *)
+          let well_formed = w <> 2 && w' land 3 <= 1 && w' lsr 2 < nobjs in
+          if not well_formed then
+            plain_miss "w0" (w0_off + (8 * e) + (bit / 8)) (bit mod 8)
+        done
       done;
       Alcotest.(check bool) "pristine entry still hits" true
-        (Trace_cache.lookup_decoded ~dir ~key <> None))
+        (Trace_cache.lookup ~dir ~key <> None))
 
 let test_every_truncation_detected () =
   with_temp_cache_dir (fun dir ->
       let key = Trace_cache.make_key ~name:"cut" ~source:"s" ~seed:2 () in
       store_exn ~dir ~key (small_trace ());
-      let path = Filename.concat dir (key ^ ".trace") in
+      let path = entry_path dir key in
       let original = read_file path in
       let len = String.length original in
-      let step = max 1 (len / 64) in
-      let cut = ref 0 in
-      while !cut < len do
-        write_raw path (String.sub original 0 !cut);
-        (match Trace_cache.lookup_decoded ~dir ~key with
-        | None -> ()
-        | Some _ -> Alcotest.failf "truncation to %d/%d not detected" !cut len);
-        let corpse = path ^ ".corrupt" in
-        if Sys.file_exists corpse then Sys.remove corpse;
-        write_raw path original;
-        cut := !cut + step
+      for cut = 0 to len - 1 do
+        with_damaged ~path ~original (String.sub original 0 cut) (fun () ->
+            match Trace_cache.lookup ~dir ~key with
+            | None -> ()
+            | Some _ -> Alcotest.failf "truncation to %d/%d not detected" cut len)
       done)
 
 let test_quarantine_semantics () =
@@ -267,7 +329,7 @@ let test_quarantine_semantics () =
       let key = Trace_cache.make_key ~name:"q" ~source:"s" ~seed:3 () in
       let trace = small_trace () in
       store_exn ~dir ~key trace;
-      let path = Filename.concat dir (key ^ ".trace") in
+      let path = entry_path dir key in
       let data = read_file path in
       write_raw path (String.sub data 0 (String.length data - 4));
       let logged = ref [] in
@@ -278,9 +340,9 @@ let test_quarantine_semantics () =
           Trace_cache.set_quarantine_log (fun ~file:_ ~reason:_ -> ()))
         (fun () ->
           Alcotest.(check bool) "corrupt entry is a miss" true
-            (Trace_cache.lookup_decoded ~dir ~key = None);
+            (Trace_cache.lookup ~dir ~key = None);
           Alcotest.(check bool) "quarantine hook fired" true
-            (List.mem_assoc (key ^ ".trace") !logged);
+            (List.mem_assoc (key ^ ".ebpt3") !logged);
           Alcotest.(check bool) "renamed aside" true
             (Sys.file_exists (path ^ ".corrupt") && not (Sys.file_exists path));
           let kinds =
@@ -329,33 +391,33 @@ let test_lookup_transient_fault_is_plain_miss () =
         [ rule "trace_cache.lookup.data" (Fault.Nth 1) Fault.Fail ]
         (fun () ->
           Alcotest.(check bool) "injected read fault is a miss" true
-            (Trace_cache.lookup_decoded ~dir ~key = None);
+            (Trace_cache.lookup ~dir ~key = None);
           (* A transient fault must not destroy the (intact) entry. *)
           Alcotest.(check bool) "entry not quarantined" true
-            (Sys.file_exists (Filename.concat dir (key ^ ".trace")));
+            (Sys.file_exists (entry_path dir key));
           Alcotest.(check bool) "next lookup hits" true
-            (Trace_cache.lookup_decoded ~dir ~key <> None));
-      (* The mapped tier's own transient fault point behaves the same:
-         a plain miss (served by the decoded fallback), no quarantine. *)
+            (Trace_cache.lookup ~dir ~key <> None));
+      (* The mapping's own transient fault point behaves the same: a
+         plain miss, no quarantine. *)
       with_rules
         [ rule "trace.codec.map" (Fault.Nth 1) Fault.Fail ]
         (fun () ->
-          (match Trace_cache.lookup ~dir ~key with
+          Alcotest.(check bool) "injected map fault is a miss" true
+            (Trace_cache.lookup ~dir ~key = None);
+          Alcotest.(check bool) "entry not quarantined" true
+            (Sys.file_exists (entry_path dir key));
+          match Trace_cache.lookup ~dir ~key with
           | Some (t, _) ->
-              Alcotest.(check bool) "fault degrades to the decoded tier"
-                false
-                (Ebp_trace.Trace.is_mapped t)
-          | None -> Alcotest.fail "decoded fallback should still hit");
-          Alcotest.(check bool) "sidecar not quarantined" true
-            (Sys.file_exists (Filename.concat dir (key ^ ".ebpt3")))))
+              Alcotest.(check bool) "next lookup maps the entry" true
+                (Trace.is_mapped t)
+          | None -> Alcotest.fail "next lookup should hit"))
 
 let test_mangled_store_detected_on_lookup () =
   (* Corruption injected while writing (bit flip after sealing) must land
-     on disk — in both the canonical entry and the columnar sidecar — and
-     then be caught on the way back in. While fault injection is active,
-     mapped lookups verify the full payload CRC (the structural-only fast
-     path is for production loads, where [ebp cache verify] is the
-     backstop), so the lookup quarantines both mangled files and misses. *)
+     on disk and then be caught on the way back in. While fault injection
+     is active, lookups check the full payload CRC (the structural-only
+     fast path is for production loads, where [ebp cache verify] is the
+     backstop), so the lookup quarantines the mangled entry and misses. *)
   with_temp_cache_dir (fun dir ->
       let key = Trace_cache.make_key ~name:"mangled" ~source:"s" ~seed:7 () in
       with_rules
@@ -364,10 +426,8 @@ let test_mangled_store_detected_on_lookup () =
           store_exn ~dir ~key (small_trace ());
           Alcotest.(check bool) "mangled entry is a miss, not bad data" true
             (Trace_cache.lookup ~dir ~key = None));
-      Alcotest.(check bool) "canonical entry quarantined" true
-        (Sys.file_exists (Filename.concat dir (key ^ ".trace.corrupt")));
-      Alcotest.(check bool) "sidecar quarantined" true
-        (Sys.file_exists (Filename.concat dir (key ^ ".ebpt3.corrupt"))))
+      Alcotest.(check bool) "entry quarantined" true
+        (Sys.file_exists (entry_path dir key ^ ".corrupt")))
 
 (* --- verify --- *)
 
@@ -384,15 +444,15 @@ let test_verify_scan () =
        with
       | Ok () -> ()
       | Error msg -> Alcotest.fail ("store_index: " ^ msg));
-      let path = Filename.concat dir (k2 ^ ".trace") in
+      let path = entry_path dir k2 in
       let data = read_file path in
       write_raw path (String.sub data 0 (String.length data / 2));
-      (* Two traces, their two columnar sidecars, and one index. *)
+      (* Two traces and one index. *)
       let r = Trace_cache.verify ~quarantine:false ~dir () in
-      Alcotest.(check int) "five entries checked" 5 r.Trace_cache.checked;
-      Alcotest.(check int) "four intact" 4 r.Trace_cache.intact;
+      Alcotest.(check int) "three entries checked" 3 r.Trace_cache.checked;
+      Alcotest.(check int) "two intact" 2 r.Trace_cache.intact;
       Alcotest.(check (list string)) "the corrupt one is named"
-        [ k2 ^ ".trace" ]
+        [ k2 ^ ".ebpt3" ]
         (List.map fst r.Trace_cache.corrupt);
       Alcotest.(check bool) "no-quarantine left the file" true
         (Sys.file_exists path);
@@ -401,7 +461,7 @@ let test_verify_scan () =
       Alcotest.(check bool) "now quarantined" true
         (Sys.file_exists (path ^ ".corrupt") && not (Sys.file_exists path));
       let r = Trace_cache.verify ~dir () in
-      Alcotest.(check int) "corpses skipped on the next scan" 4
+      Alcotest.(check int) "corpses skipped on the next scan" 2
         r.Trace_cache.checked;
       Alcotest.(check (list string)) "clean report" []
         (List.map fst r.Trace_cache.corrupt))

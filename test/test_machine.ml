@@ -583,11 +583,9 @@ let test_workloads_run_vs_step () =
         (w.Workload.name ^ ": output")
         run_result.Loader.output (Loader.output loader);
       Alcotest.(check bool)
-        (w.Workload.name ^ ": trace bytes identical")
+        (w.Workload.name ^ ": trace identical")
         true
-        (String.equal
-           (Trace.encode run.Workload.trace)
-           (Trace.encode trace)))
+        (Trace.equal run.Workload.trace trace))
     Workload.all
 
 (* --- observability counters --- *)

@@ -262,15 +262,9 @@ let test_cache_roundtrip () =
           Alcotest.(check string) "meta preserved" "0x1.8p3" meta;
           Alcotest.(check int) "event count" (Trace.length trace)
             (Trace.length loaded);
-          (* A warm hit comes from the mmap'd sidecar, not a decode... *)
+          (* A warm hit maps the entry instead of decoding it. *)
           Alcotest.(check bool) "hit is mapped" true (Trace.is_mapped loaded);
-          (* ...while the decoded tier still serves a heap copy. *)
-          (match Trace_cache.lookup_decoded ~dir ~key with
-          | None -> Alcotest.fail "decoded lookup after store"
-          | Some (decoded, meta') ->
-              Alcotest.(check string) "decoded meta" "0x1.8p3" meta';
-              Alcotest.(check bool) "decoded tier is heap" false
-                (Trace.is_mapped decoded));
+          Alcotest.(check bool) "same trace" true (Trace.equal trace loaded);
           (* The cached trace replays to the very same counting variables. *)
           check_same_counts "replay of cached trace"
             (Replay.discover_and_replay trace)
@@ -296,24 +290,23 @@ let test_cache_corrupt_entry_is_miss () =
       (match Trace_cache.store ~dir ~key (synthetic_trace ()) with
       | Ok () -> ()
       | Error msg -> Alcotest.fail ("store: " ^ msg));
-      let clobber suffix =
-        let oc = open_out_bin (Filename.concat dir (key ^ suffix)) in
-        output_string oc "EBPC1garbage";
-        close_out oc
-      in
-      (* A corrupt sidecar is quarantined and masked by the decoded tier. *)
-      clobber ".ebpt3";
-      (match Trace_cache.lookup ~dir ~key with
-      | None -> Alcotest.fail "decoded fallback should still hit"
-      | Some (loaded, _) ->
-          Alcotest.(check bool) "fallback hit is decoded" false
-            (Trace.is_mapped loaded));
-      Alcotest.(check bool) "sidecar quarantined" true
-        (Sys.file_exists (Filename.concat dir (key ^ ".ebpt3.corrupt")));
-      (* With the canonical entry corrupt too, the key reads as a miss. *)
-      clobber ".trace";
+      let path = Filename.concat dir (key ^ ".ebpt3") in
+      let oc = open_out_bin path in
+      output_string oc "EBPT3garbage";
+      close_out oc;
+      (* The corrupt entry is a miss, quarantined aside... *)
       Alcotest.(check bool) "corrupt entry reads as a miss" true
-        (Trace_cache.lookup ~dir ~key = None))
+        (Trace_cache.lookup ~dir ~key = None);
+      Alcotest.(check bool) "entry quarantined" true
+        (Sys.file_exists (path ^ ".corrupt") && not (Sys.file_exists path));
+      Alcotest.(check bool) "still a miss" true
+        (Trace_cache.lookup ~dir ~key = None);
+      (* ...and re-recording under the same key recovers. *)
+      (match Trace_cache.store ~dir ~key (synthetic_trace ()) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail ("re-store: " ^ msg));
+      Alcotest.(check bool) "re-stored entry hits" true
+        (Trace_cache.lookup ~dir ~key <> None))
 
 (* A fast private workload so the cache tests do not re-run a benchmark. *)
 let tiny_workload =
@@ -378,15 +371,14 @@ let test_cache_entries_and_clear () =
       | Error msg -> Alcotest.fail msg);
       let es = Trace_cache.entries ~dir in
       let kinds = List.map (fun e -> e.Trace_cache.entry_kind) es in
-      Alcotest.(check int) "three entries" 3 (List.length es);
-      Alcotest.(check bool) "one trace, one columnar, one index" true
+      Alcotest.(check int) "two entries" 2 (List.length es);
+      Alcotest.(check bool) "one trace, one index" true
         (List.mem Trace_cache.Trace_entry kinds
-        && List.mem Trace_cache.Columnar_entry kinds
         && List.mem Trace_cache.Index_entry kinds);
       Alcotest.(check bool) "sizes recorded" true
         (List.for_all (fun e -> e.Trace_cache.entry_bytes > 0) es);
       let removed, reclaimed = Trace_cache.clear ~dir in
-      Alcotest.(check int) "clear removes all three" 3 removed;
+      Alcotest.(check int) "clear removes both" 2 removed;
       Alcotest.(check int) "clear reclaims their bytes"
         (List.fold_left (fun acc e -> acc + e.Trace_cache.entry_bytes) 0 es)
         reclaimed;
@@ -404,6 +396,13 @@ let test_cache_gc_evicts_oldest () =
         key
       in
       let k1 = store "first" and k2 = store "second" and k3 = store "third" in
+      (* The oldest key also owns an index, which must go with it. *)
+      (match
+         Trace_cache.store_index ~dir ~key:k2 ~page_sizes:[ 4096 ]
+           (Ebp_trace.Write_index.build ~page_sizes:[ 4096 ] trace)
+       with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg);
       (* An orphaned temp file, as an interrupted store would leave. *)
       let tmp = Filename.concat dir ".deadbeef0000.tmp" in
       let oc = open_out_bin tmp in
@@ -413,38 +412,49 @@ let test_cache_gc_evicts_oldest () =
          name order — gc must follow mtime. *)
       let set_age key age =
         let t = Unix.gettimeofday () -. age in
-        Unix.utimes (Filename.concat dir (key ^ ".trace")) t t
+        Unix.utimes (Filename.concat dir (key ^ ".ebpt3")) t t
       in
       set_age k2 300.0;
       set_age k1 200.0;
       set_age k3 100.0;
-      (* Each stored key owns a canonical entry plus a columnar sidecar;
-         gc evicts whole ownership groups, so budget in group units. *)
+      (* gc evicts whole ownership groups: k2's group is its entry plus
+         its index. Budget for the two other entries: gc drops the temp
+         file and evicts exactly the oldest key's group. *)
       let size f = (Unix.stat (Filename.concat dir f)).Unix.st_size in
-      let group_bytes = size (k1 ^ ".trace") + size (k1 ^ ".ebpt3") in
-      (* Budget for two groups: gc drops the temp file and evicts exactly
-         the oldest key's group. *)
+      let entry_bytes = size (k1 ^ ".ebpt3") in
+      let index_bytes =
+        List.fold_left
+          (fun acc e ->
+            if e.Trace_cache.entry_kind = Trace_cache.Index_entry then
+              acc + e.Trace_cache.entry_bytes
+            else acc)
+          0 (Trace_cache.entries ~dir)
+      in
       let removed, reclaimed =
-        Trace_cache.gc ~dir ~max_bytes:(2 * group_bytes)
+        Trace_cache.gc ~dir ~max_bytes:(2 * entry_bytes)
       in
       Alcotest.(check int) "removed temp file + oldest group" 3 removed;
-      Alcotest.(check int) "reclaimed their bytes" (group_bytes + 7) reclaimed;
+      Alcotest.(check int) "reclaimed their bytes"
+        (entry_bytes + index_bytes + 7) reclaimed;
       Alcotest.(check bool) "temp file gone" true (not (Sys.file_exists tmp));
       Alcotest.(check bool) "oldest entry evicted" true
         (Trace_cache.lookup ~dir ~key:k2 = None);
-      Alcotest.(check bool) "no orphaned sidecar left behind" true
-        (not (Sys.file_exists (Filename.concat dir (k2 ^ ".ebpt3"))));
+      Alcotest.(check bool) "no orphaned index left behind" true
+        (Trace_cache.lookup_index ~dir ~key:k2 ~page_sizes:[ 4096 ] = None
+        && List.for_all
+             (fun e -> e.Trace_cache.entry_kind <> Trace_cache.Index_entry)
+             (Trace_cache.entries ~dir));
       Alcotest.(check bool) "newer entries survive" true
         (Trace_cache.lookup ~dir ~key:k1 <> None
         && Trace_cache.lookup ~dir ~key:k3 <> None);
       let removed, _ = Trace_cache.gc ~dir ~max_bytes:0 in
-      Alcotest.(check int) "gc to zero removes the rest" 4 removed;
+      Alcotest.(check int) "gc to zero removes the rest" 2 removed;
       Alcotest.(check (pair int int)) "nothing left to clear" (0, 0)
         (Trace_cache.clear ~dir))
 
 let test_cache_gc_reclaims_orphans () =
-  (* A sidecar or index whose owning trace entry is gone is an orphan:
-     unreferenceable through any lookup key path once the canonical entry
+  (* An index or checkpoint chain whose owning trace entry is gone is an
+     orphan: unreferenceable through any lookup key path once the entry
      disappears, so gc must reclaim it regardless of the byte budget. *)
   with_temp_cache_dir (fun dir ->
       let trace = synthetic_trace () in
@@ -456,10 +466,15 @@ let test_cache_gc_reclaims_orphans () =
       (match Trace_cache.store_index ~dir ~key ~page_sizes:[ 4096 ] index with
       | Ok () -> ()
       | Error msg -> Alcotest.fail msg);
-      Alcotest.(check int) "trace + sidecar + index" 3
+      (match
+         Trace_cache.store_checkpoints ~dir ~key (Ebp_trace.Checkpoint.create ())
+       with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg);
+      Alcotest.(check int) "trace + index + checkpoints" 3
         (List.length (Trace_cache.entries ~dir));
-      (* Orphan the artifacts by deleting the canonical trace entry. *)
-      Sys.remove (Filename.concat dir (key ^ ".trace"));
+      (* Orphan the artifacts by deleting the trace entry. *)
+      Sys.remove (Filename.concat dir (key ^ ".ebpt3"));
       let removed, reclaimed = Trace_cache.gc ~dir ~max_bytes:max_int in
       Alcotest.(check int) "both orphans reclaimed" 2 removed;
       Alcotest.(check bool) "their bytes counted" true (reclaimed > 0);
@@ -475,6 +490,66 @@ let test_cache_gc_reclaims_orphans () =
       | Error msg -> Alcotest.fail msg);
       Alcotest.(check (pair int int)) "live artifacts kept" (0, 0)
         (Trace_cache.gc ~dir ~max_bytes:max_int))
+
+(* A cache directory left by the v4 layout: each key had a varint-coded
+   [<key>.trace] entry next to a [<key>.ebpt3] sidecar, plus its indices.
+   No v5 key names those keys, so none of their files may be served,
+   none is reported corrupt, and gc reclaims all of them on sight. *)
+let test_cache_v4_leftovers () =
+  with_temp_cache_dir (fun dir ->
+      let trace = synthetic_trace () in
+      let v4_key name = Digest.to_hex (Digest.string ("v4 key " ^ name)) in
+      let paired = v4_key "paired" and lone = v4_key "lone" in
+      let write file data =
+        Out_channel.with_open_bin (Filename.concat dir file) (fun oc ->
+            Out_channel.output_string oc data)
+      in
+      let leave_v4_files () =
+        (* The v4 entry body, sealed; its payload is opaque here. *)
+        write (paired ^ ".trace") "EBPC3\x00\x00\x00\x00\x00\x00\x00\x00v4EBPZ";
+        write (paired ^ ".ebpt3") (Trace.encode_columnar trace);
+        write (lone ^ ".trace") "EBPC3 a v4 entry whose sidecar is gone";
+        match
+          Trace_cache.store_index ~dir ~key:paired ~page_sizes:[ 4096 ]
+            (Ebp_trace.Write_index.build ~page_sizes:[ 4096 ] trace)
+        with
+        | Ok () -> ()
+        | Error msg -> Alcotest.fail msg
+      in
+      Unix.mkdir dir 0o755;
+      leave_v4_files ();
+      let key = Trace_cache.make_key ~name:"v5" ~source:"s" ~seed:1 () in
+      (match Trace_cache.store ~dir ~key trace with
+      | Ok () -> ()
+      | Error msg -> Alcotest.fail msg);
+      let stale =
+        List.filter
+          (fun e -> e.Trace_cache.entry_kind = Trace_cache.Stale_entry)
+          (Trace_cache.entries ~dir)
+      in
+      Alcotest.(check int) "both .trace files are stale entries" 2
+        (List.length stale);
+      Alcotest.(check bool) "a v4 .trace is never served" true
+        (Trace_cache.lookup ~dir ~key:lone = None);
+      Alcotest.(check bool) "nor quarantined" true
+        (Sys.file_exists (Filename.concat dir (lone ^ ".trace")));
+      let r = Trace_cache.verify ~dir () in
+      Alcotest.(check (list string)) "verify reports none corrupt" []
+        (List.map fst r.Trace_cache.corrupt);
+      Alcotest.(check int) "the v5 entry, the v4 sidecar and index checked" 3
+        r.Trace_cache.checked;
+      let removed, _ = Trace_cache.gc ~dir ~max_bytes:max_int in
+      Alcotest.(check int) "gc reclaims every v4 file" 4 removed;
+      Alcotest.(check (list string)) "only the v5 entry is left"
+        [ key ^ ".ebpt3" ]
+        (List.map (fun e -> e.Trace_cache.entry_file) (Trace_cache.entries ~dir));
+      Alcotest.(check bool) "and it still hits" true
+        (Trace_cache.lookup ~dir ~key <> None);
+      leave_v4_files ();
+      let removed, _ = Trace_cache.clear ~dir in
+      Alcotest.(check int) "clear reclaims every file" 5 removed;
+      Alcotest.(check int) "nothing left" 0
+        (Array.length (Sys.readdir dir)))
 
 (* --- crash consistency ---
 
@@ -586,7 +661,7 @@ let test_experiment_faulted_identical () =
   let spec =
     "seed=42;trace_cache.store.data:p=0.3:bitflip;\
      trace_cache.store.io:p=0.2:fail;trace_cache.lookup.data:p=0.2:bitflip;\
-     trace.codec.decode:p=0.2:fail;write_index.codec.decode:p=0.2:fail;\
+     trace.codec.map:p=0.2:fail;write_index.codec.decode:p=0.2:fail;\
      pool.task:p=0.1:fail;loader.run:p=0.1:fail"
   in
   with_temp_cache_dir (fun dir ->
@@ -643,6 +718,8 @@ let () =
             test_cache_gc_evicts_oldest;
           Alcotest.test_case "gc reclaims orphaned artifacts" `Quick
             test_cache_gc_reclaims_orphans;
+          Alcotest.test_case "gc reclaims v4 leftovers" `Quick
+            test_cache_v4_leftovers;
           Alcotest.test_case "store crash consistency" `Quick
             test_store_crash_consistency;
           Alcotest.test_case "experiment engines agree" `Slow

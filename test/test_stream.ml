@@ -3,8 +3,8 @@
    (Write_index.Incremental), and checkpointed time travel (Checkpoint).
 
    The load-bearing equivalences, each pinned here:
-   - a completed stream decodes to a trace byte-identical (under
-     Trace.encode) to the batch recorder's, across all five workloads
+   - a completed stream decodes to a trace equal (under Trace.equal)
+     to the batch recorder's, across all five workloads
      and at adversarially small block sizes;
    - the per-block incremental index equals the batch Write_index.build
      of the full trace;
@@ -90,9 +90,9 @@ let test_workloads_identical () =
       | Error msg -> Alcotest.failf "%s: stream read: %s" w.Workload.name msg
       | Ok streamed ->
           Alcotest.(check bool)
-            (w.Workload.name ^ " streamed trace byte-identical")
+            (w.Workload.name ^ " streamed trace identical")
             true
-            (Trace.encode streamed = Trace.encode batch));
+            (Trace.equal streamed batch));
       match Write_index.Incremental.snapshot inc with
       | None -> Alcotest.failf "%s: incremental index degraded" w.Workload.name
       | Some idx ->
@@ -114,7 +114,7 @@ let test_block_size_irrelevant () =
           Alcotest.(check bool)
             (Printf.sprintf "block_events=%d identical" block_events)
             true
-            (Trace.encode streamed = Trace.encode batch))
+            (Trace.equal streamed batch))
     [ 1; 7; 32; 1024; 1 lsl 20 ]
 
 (* --- prefix consistency --- *)
@@ -133,7 +133,6 @@ let test_prefix_consistency () =
      the cut, never exceeds the cut's sealed blocks, and each prefix
      trace is a literal event-prefix of the full trace. *)
   let full = Result.get_ok (Stream.read bytes) in
-  let full_enc = Trace.encode full in
   let prev = ref 0 in
   for cut = String.length Stream.magic + 2 to String.length bytes - 1 do
     match Stream.read_prefix (String.sub bytes 0 cut) with
@@ -164,7 +163,6 @@ let test_prefix_consistency () =
         done;
         if not !agree then Alcotest.failf "cut %d: prefix events diverge" cut
   done;
-  ignore full_enc;
   (* Strict read of any truncation is an error. *)
   (match Stream.read (String.sub bytes 0 (String.length bytes - 1)) with
   | Ok _ -> Alcotest.fail "strict read accepted a truncated stream"
@@ -239,8 +237,8 @@ let test_checkpoint_restart_equiv () =
   (* Checkpointing must not perturb the recording. *)
   let batch = batch_trace ~seed:mid_seed mid_source in
   let streamed = Result.get_ok (Stream.read bytes) in
-  Alcotest.(check bool) "checkpointed stream still byte-identical" true
-    (Trace.encode streamed = Trace.encode batch);
+  Alcotest.(check bool) "checkpointed stream still identical" true
+    (Trace.equal streamed batch);
   let total = Trace.length batch in
   let stamps = Checkpoint.events chain in
   (* Targets straddle checkpoint stamps — including one exactly on the
@@ -389,7 +387,7 @@ let test_fault_checkpoint_store_skips () =
   let batch = batch_trace ~seed:mid_seed mid_source in
   let streamed = Result.get_ok (Stream.read bytes) in
   Alcotest.(check bool) "recording unperturbed" true
-    (Trace.encode streamed = Trace.encode batch);
+    (Trace.equal streamed batch);
   let event = List.hd (Checkpoint.events chain) + 13 in
   match restart_digest chain ~load ~event with
   | None -> Alcotest.fail "no checkpoint survived"

@@ -4,6 +4,7 @@
 module Interval = Ebp_util.Interval
 module Object_desc = Ebp_trace.Object_desc
 module Trace = Ebp_trace.Trace
+module Stream = Ebp_trace.Stream
 module Recorder = Ebp_trace.Recorder
 
 let iv lo hi = Interval.make ~lo ~hi
@@ -95,62 +96,6 @@ let test_trace_iter_raw () =
   | [ (0, 0, -1); (2, -1, 7); (0, 1, -1); (2, -1, 9); (1, 1, -1); (1, 0, -1) ] -> ()
   | _ -> Alcotest.fail "raw iteration mismatch"
 
-let test_trace_text_roundtrip () =
-  let t = build_sample () in
-  match Trace.of_text (Trace.to_text t) with
-  | Error e -> Alcotest.fail e
-  | Ok t2 ->
-      Alcotest.(check int) "length" (Trace.length t) (Trace.length t2);
-      for i = 0 to Trace.length t - 1 do
-        if Trace.get t i <> Trace.get t2 i then Alcotest.failf "event %d differs" i
-      done
-
-let test_trace_text_errors () =
-  (match Trace.of_text "X 1 2 3\n" with
-  | Error msg -> Alcotest.(check bool) "line number" true (String.sub msg 0 4 = "line")
-  | Ok _ -> Alcotest.fail "accepted junk");
-  match Trace.of_text "W 5 2 0\n" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted inverted range"
-
-let test_trace_binary_roundtrip () =
-  let t = build_sample () in
-  let path = Filename.temp_file "ebp_trace" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      Trace.write_binary oc t;
-      close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match Trace.read_binary ic with
-          | Error e -> Alcotest.fail e
-          | Ok t2 ->
-              Alcotest.(check int) "length" (Trace.length t) (Trace.length t2);
-              for i = 0 to Trace.length t - 1 do
-                if Trace.get t i <> Trace.get t2 i then
-                  Alcotest.failf "event %d differs" i
-              done))
-
-let test_trace_binary_rejects_garbage () =
-  let path = Filename.temp_file "ebp_trace" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc "NOTATRACE";
-      close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          match Trace.read_binary ic with
-          | Error _ -> ()
-          | Ok _ -> Alcotest.fail "accepted garbage"))
-
 (* Builder growth across the initial capacity. *)
 let test_trace_many_events () =
   let b = Trace.Builder.create () in
@@ -163,26 +108,58 @@ let test_trace_many_events () =
   | Trace.Write { pc = 9_999; _ } -> ()
   | _ -> Alcotest.fail "last event"
 
-(* --- binary codec (EBPT2) --- *)
+(* --- binary codecs: saved streams (EBPB1) and cache entries (EBPT3) --- *)
 
-let rows t =
-  let acc = ref [] in
-  Trace.iter_raw t (fun ~tag ~obj ~lo ~hi ~pc -> acc := (tag, obj, lo, hi, pc) :: !acc);
-  List.rev !acc
+(* [t] as a saved stream, as [ebp trace --stream] writes one: every
+   object registered up front, then the events in order. *)
+let stream_of ?block_events t =
+  let buf = Buffer.create 256 in
+  let w = Stream.Writer.create ?block_events ~write:(Buffer.add_string buf) () in
+  Array.iter (fun o -> ignore (Stream.Writer.register w o)) (Trace.objects t);
+  Trace.iter_raw t (fun ~tag ~obj ~lo ~hi ~pc ->
+      if tag = 0 then Stream.Writer.add_install_id w obj ~lo ~hi
+      else if tag = 1 then Stream.Writer.add_remove_id w obj ~lo ~hi
+      else Stream.Writer.add_write_raw w ~lo ~hi ~pc);
+  Stream.Writer.finish w;
+  Buffer.contents buf
 
-let traces_equal t1 t2 =
-  Trace.length t1 = Trace.length t2
-  && Trace.objects t1 = Trace.objects t2
-  && rows t1 = rows t2
-
+(* Both binary codecs reproduce every event and the whole object table. *)
 let check_roundtrip t =
-  match Trace.decode (Trace.encode t) with
-  | Error e -> Alcotest.failf "decode failed: %s" e
-  | Ok t2 -> traces_equal t t2
+  (match Stream.read (stream_of ~block_events:7 t) with
+  | Error e -> Alcotest.failf "stream read failed: %s" e
+  | Ok t2 -> Trace.equal t t2)
+  &&
+  match Trace.decode_columnar (Trace.encode_columnar t) with
+  | Error e -> Alcotest.failf "columnar decode failed: %s" e
+  | Ok (t2, _) -> Trace.equal t t2
+
+let test_trace_binary_roundtrip () =
+  (* A saved trace file reads back as the same trace. *)
+  let t = build_sample () in
+  let path = Filename.temp_file "ebp_trace" ".ebpb" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (stream_of t));
+      match Stream.read_file path with
+      | Error e -> Alcotest.fail e
+      | Ok t2 -> Alcotest.(check bool) "same trace" true (Trace.equal t t2))
+
+let test_trace_binary_rejects_garbage () =
+  let path = Filename.temp_file "ebp_trace" ".ebpb" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc "NOTATRACE");
+      match Stream.read_file path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "accepted garbage")
 
 let prop_codec_roundtrip =
-  (* Random event soup: decode (encode t) must reproduce every row and
-     the whole object table. *)
+  (* Random event soup: both codecs must reproduce every row and the
+     whole object table. *)
   let open QCheck2.Gen in
   let obj_pool =
     [|
@@ -227,8 +204,9 @@ let prop_codec_roundtrip =
       check_roundtrip (Trace.Builder.finish b))
 
 let test_codec_extreme_values () =
-  (* Deltas wrap at the 63-bit boundary; the zigzag varint chain must
-     round-trip every representable bound anyway. *)
+  (* Stream deltas wrap at the 63-bit boundary; the zigzag varint chain
+     must round-trip every representable bound anyway, and so must the
+     fixed-width columns. *)
   let b = Trace.Builder.create () in
   List.iter
     (fun lo -> Trace.Builder.add_write_raw b ~lo ~hi:lo ~pc:max_int)
@@ -237,38 +215,39 @@ let test_codec_extreme_values () =
   Alcotest.(check bool) "roundtrip at extremes" true (check_roundtrip t)
 
 let test_codec_malformed () =
-  let valid = Trace.encode (build_sample ()) in
+  (* The strict stream reader behind [--from-trace]. *)
+  let valid = stream_of ~block_events:2 (build_sample ()) in
   let expect_error what s =
-    match Trace.decode s with
+    match Stream.read s with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "accepted %s" what
   in
   expect_error "empty input" "";
   expect_error "bad magic" ("XXXXX" ^ String.sub valid 5 (String.length valid - 5));
-  expect_error "old codec version" "EBPT1";
-  for cut = String.length Trace.codec_version to String.length valid - 1 do
+  expect_error "old format version" "EBPB0";
+  for cut = 0 to String.length valid - 1 do
     expect_error "truncation" (String.sub valid 0 cut)
   done;
   expect_error "trailing bytes" (valid ^ "\x00");
-  expect_error "oversized varint"
-    (Trace.codec_version ^ String.make 10 '\xff')
+  expect_error "oversized varint" (Stream.magic ^ String.make 10 '\xff')
 
 let test_codec_mutation_fuzz () =
-  (* Exhaustive single-bit mutations of a valid blob: the decoder must
-     always return ([Ok] or [Error] — no exception, no hang), whatever
-     the flip hits. Detection of silent misdecodes is the cache layer's
-     job (its CRC trailer; see test_fault.ml) — this guards the decoder
-     itself against crashes on adversarial input. *)
-  let valid = Trace.encode (build_sample ()) in
+  (* Exhaustive single-bit mutations of a valid stream: the strict reader
+     must always return ([Ok] or [Error] — no exception, no hang, no
+     allocation sized by a damaged length), whatever the flip hits. The
+     header rides no CRC, so flips there reach the length checks. *)
+  let valid = stream_of ~block_events:2 (build_sample ()) in
+  let read what s =
+    match Stream.read s with
+    | Ok _ | Error _ -> ()
+    | exception e ->
+        Alcotest.failf "read raised %s on %s" (Printexc.to_string e) what
+  in
   for i = 0 to String.length valid - 1 do
     for bit = 0 to 7 do
       let b = Bytes.of_string valid in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-      match Trace.decode (Bytes.unsafe_to_string b) with
-      | Ok _ | Error _ -> ()
-      | exception e ->
-          Alcotest.failf "decode raised %s on bit %d of byte %d"
-            (Printexc.to_string e) bit i
+      read (Printf.sprintf "bit %d of byte %d" bit i) (Bytes.unsafe_to_string b)
     done
   done;
   (* Flip-then-truncate: a mutated length field must never drive an
@@ -276,16 +255,12 @@ let test_codec_mutation_fuzz () =
   for cut = 0 to String.length valid - 1 do
     let b = Bytes.of_string (String.sub valid 0 cut) in
     if cut > 0 then Bytes.set b (cut / 2) '\xff';
-    match Trace.decode (Bytes.unsafe_to_string b) with
-    | Ok _ | Error _ -> ()
-    | exception e ->
-        Alcotest.failf "decode raised %s on mutated prefix %d"
-          (Printexc.to_string e) cut
+    read (Printf.sprintf "mutated prefix %d" cut) (Bytes.unsafe_to_string b)
   done
 
 let test_codec_raw_adders_equivalent () =
-  (* add_write_raw / register + add_install_id are byte-for-byte
-     equivalent to their boxed counterparts. *)
+  (* add_write_raw / register + add_install_id build the same trace as
+     their boxed counterparts. *)
   let obj = Object_desc.Global { var = "g" } in
   let boxed = Trace.Builder.create () in
   Trace.Builder.add_install boxed obj (iv 100 103);
@@ -296,9 +271,8 @@ let test_codec_raw_adders_equivalent () =
   Trace.Builder.add_install_id raw id ~lo:100 ~hi:103;
   Trace.Builder.add_write_raw raw ~lo:100 ~hi:103 ~pc:7;
   Trace.Builder.add_remove_id raw id ~lo:100 ~hi:103;
-  Alcotest.(check string) "identical bytes"
-    (Trace.encode (Trace.Builder.finish boxed))
-    (Trace.encode (Trace.Builder.finish raw))
+  Alcotest.(check bool) "identical traces" true
+    (Trace.equal (Trace.Builder.finish boxed) (Trace.Builder.finish raw))
 
 let test_builder_hint () =
   (* An exact hint means finish can hand the buffer over; a wrong hint
@@ -318,45 +292,53 @@ let test_builder_hint () =
 
 let test_codec_compact () =
   (* A workload-shaped write run (sequential word stores from a handful
-     of pcs) must land well under 8 bytes/event. *)
+     of pcs) saves well under 8 bytes/event. *)
   let b = Trace.Builder.create ~hint:10_000 () in
   for i = 0 to 9_999 do
     let lo = 4096 + (4 * i) in
     Trace.Builder.add_write_raw b ~lo ~hi:(lo + 3) ~pc:(100 + (i mod 7))
   done;
   let t = Trace.Builder.finish b in
-  let bytes = String.length (Trace.encode t) in
+  let bytes = String.length (stream_of t) in
   Alcotest.(check bool)
     (Printf.sprintf "%d bytes for 10k events" bytes)
     true
     (bytes < 8 * 10_000)
 
-let test_codec_byte_counters () =
-  let module Metrics = Ebp_obs.Metrics in
-  Metrics.reset ();
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset ())
-    (fun () ->
-      let t = build_sample () in
-      let s = Trace.encode t in
-      (match Trace.decode s with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e);
-      let counter name =
-        let snap = Metrics.snapshot () in
-        match
-          List.find_opt (fun (n, _, _) -> String.equal n name) snap.Metrics.counters
-        with
-        | Some (_, total, _) -> total
-        | None -> Alcotest.failf "counter %s not registered" name
-      in
-      Alcotest.(check int) "bytes_out" (String.length s)
-        (counter "trace.codec.bytes_out");
-      Alcotest.(check int) "bytes_in" (String.length s)
-        (counter "trace.codec.bytes_in"))
+let test_trace_equal () =
+  (* Equality sees every field and the object table, and no storage. *)
+  let t = build_sample () in
+  Alcotest.(check bool) "reflexive" true (Trace.equal t t);
+  let differs what f =
+    let b = Trace.Builder.create () in
+    f b;
+    if Trace.equal t (Trace.Builder.finish b) then
+      Alcotest.failf "equal despite %s" what
+  in
+  let g = Object_desc.Global { var = "g" } in
+  let h = Object_desc.Heap { context = [ "main" ]; seq = 1 } in
+  let sample ?(pc = 9) ?(hi = 103) ?(second = h) b =
+    Trace.Builder.add_install b g (iv 100 103);
+    Trace.Builder.add_write b (iv 100 hi) ~pc:7;
+    Trace.Builder.add_install b second (iv 200 239);
+    Trace.Builder.add_write b (iv 300 300) ~pc;
+    Trace.Builder.add_remove b second (iv 200 239);
+    Trace.Builder.add_remove b g (iv 100 103)
+  in
+  Alcotest.(check bool) "same events, fresh builder" true
+    (let b = Trace.Builder.create () in
+     sample b;
+     Trace.equal t (Trace.Builder.finish b));
+  differs "a different pc" (sample ~pc:10);
+  differs "a different range" (sample ~hi:104);
+  differs "a different object"
+    (sample ~second:(Object_desc.Heap { context = [ "main" ]; seq = 2 }));
+  differs "a missing event" (fun b ->
+      Trace.Builder.add_install b g (iv 100 103);
+      Trace.Builder.add_write b (iv 100 103) ~pc:7);
+  differs "an extra event" (fun b ->
+      sample b;
+      Trace.Builder.add_write b (iv 1 1) ~pc:1)
 
 (* --- columnar codec (EBPT3) and the mmap load path --- *)
 
@@ -381,9 +363,7 @@ let test_columnar_roundtrip () =
       | Error e -> Alcotest.failf "decode failed: %s" e
       | Ok (t2, meta) ->
           Alcotest.(check string) "meta" "m1" meta;
-          Alcotest.(check bool) "rows and objects" true (traces_equal t t2);
-          Alcotest.(check string) "canonical bytes" (Trace.encode t)
-            (Trace.encode t2))
+          Alcotest.(check bool) "rows and objects" true (Trace.equal t t2))
     [ build_sample (); big_sample (); Trace.Builder.finish (Trace.Builder.create ()) ]
 
 let test_columnar_malformed () =
@@ -437,16 +417,20 @@ let test_columnar_map () =
               Alcotest.(check int) "install lo" 4096 lo;
               Alcotest.(check int) "install hi" 8191 hi
           | None -> Alcotest.fail "mapped trace should expose install bounds");
-          Alcotest.(check bool) "rows and objects" true (traces_equal t m);
-          Alcotest.(check string) "canonical bytes" (Trace.encode t)
-            (Trace.encode m))
+          Alcotest.(check bool) "rows and objects" true (Trace.equal t m))
 
 let test_columnar_map_verify () =
+  (* The fully-checked load of a file ([ebp cache verify], and every
+     cache lookup under fault injection) reads back the same trace. *)
   let t = build_sample () in
   with_columnar_file t (fun path ->
-      match Trace.map_columnar ~verify:true path with
+      match
+        Trace.decode_columnar (In_channel.with_open_bin path In_channel.input_all)
+      with
       | Error e -> Alcotest.failf "verified load failed: %s" e
-      | Ok (m, _) -> Alcotest.(check bool) "rows" true (traces_equal t m))
+      | Ok (m, meta) ->
+          Alcotest.(check string) "meta" "mm" meta;
+          Alcotest.(check bool) "rows" true (Trace.equal t m))
 
 let test_columnar_map_rejects_damage () =
   (* Structural damage — truncation, header corruption, bad column tags —
@@ -473,6 +457,25 @@ let test_columnar_map_rejects_damage () =
       Bytes.set b (w0_off + 7) '\x40';
       write (Bytes.unsafe_to_string b);
       expect_error "a corrupt w0 column";
+      (* Header words the length checks cannot see: the block size, and
+         the install bounds. *)
+      let flip_header word bit =
+        let b = Bytes.of_string valid in
+        let pos = 8 + (8 * word) + (bit / 8) in
+        Bytes.set b pos
+          (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl (bit mod 8))));
+        write (Bytes.unsafe_to_string b)
+      in
+      flip_header 4 0;
+      expect_error "a flipped block size";
+      (* The header's install bounds are not trusted: they are derived
+         from the events, so a flipped copy cannot misdirect skipping. *)
+      flip_header 6 3;
+      (match Trace.map_columnar path with
+      | Error e -> Alcotest.failf "mapped load refused: %s" e
+      | Ok (m, _) ->
+          Alcotest.(check (option (pair int int))) "bounds from the events"
+            (Some (100, 239)) (Trace.install_bounds m));
       write valid;
       match Trace.map_columnar path with
       | Ok _ -> ()
@@ -698,11 +701,10 @@ let () =
           Alcotest.test_case "stats" `Quick test_trace_stats;
           Alcotest.test_case "iter_raw" `Quick test_trace_iter_raw;
           Alcotest.test_case "many events" `Quick test_trace_many_events;
+          Alcotest.test_case "equality" `Quick test_trace_equal;
         ] );
       ( "codecs",
         [
-          Alcotest.test_case "text roundtrip" `Quick test_trace_text_roundtrip;
-          Alcotest.test_case "text errors" `Quick test_trace_text_errors;
           Alcotest.test_case "binary roundtrip" `Quick test_trace_binary_roundtrip;
           Alcotest.test_case "binary garbage" `Quick test_trace_binary_rejects_garbage;
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
@@ -713,7 +715,6 @@ let () =
             test_codec_raw_adders_equivalent;
           Alcotest.test_case "builder hint" `Quick test_builder_hint;
           Alcotest.test_case "compactness" `Quick test_codec_compact;
-          Alcotest.test_case "byte counters" `Quick test_codec_byte_counters;
         ] );
       ( "columnar",
         [
