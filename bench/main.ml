@@ -1053,9 +1053,9 @@ let run_query traces =
   let module Qresult = Ebp_query.Qresult in
   let module Write_index = Ebp_trace.Write_index in
   print_endline
-    "Query engines: compiled onto the write index vs streaming scan\n\
-     (each query asserted result-identical between engines; ms is the\n\
-     mean of 5 runs)";
+    "Query engines: compiled onto the write index vs streaming scan, and\n\
+     the engine --engine auto picks with the index resident (each query\n\
+     asserted result-identical between engines; ms is the mean of 5 runs)";
   let reps = 5 in
   let timed f =
     Gc.compact ();
@@ -1091,6 +1091,15 @@ let run_query traces =
             ("live-group",
              Printf.sprintf "count where live(%s) group by pc top 3"
                (live_spec_of name));
+            (* perfbench's warm shapes: a 1% window from mid-trace, and a
+               session join bucketed by sixteenths. *)
+            ("window-object",
+             Printf.sprintf "count where time in [%d,%d] group by object top 5"
+               (events / 2)
+               ((events / 2) + (events / 100) - 1));
+            ("live-bucket",
+             Printf.sprintf "count where live(%s) bucket by %d"
+               (live_spec_of name) (max 1 (events / 16)));
           ]
         in
         List.map
@@ -1116,6 +1125,13 @@ let run_query traces =
             let scan_ms =
               timed (fun () -> Query.run ~engine:Query.Scan trace q)
             in
+            let auto = Query.run ~index trace q in
+            let choice =
+              match auto.Query.planned with
+              | Some e -> Ebp_sessions.Planner.choice_name e.Ebp_sessions.Planner.choice
+              | None -> "none"
+            in
+            let auto_ms = timed (fun () -> Query.run ~index trace q) in
             json_query :=
               Json.Obj
                 [
@@ -1126,6 +1142,8 @@ let run_query traces =
                   ("index_build_ms", Json.Float build_ms);
                   ("scan_ms", Json.Float scan_ms);
                   ("indexed_ms", Json.Float indexed_ms);
+                  ("choice", Json.Str choice);
+                  ("auto_ms", Json.Float auto_ms);
                   ("identical", Json.Bool identical);
                 ]
               :: !json_query;
@@ -1135,6 +1153,8 @@ let run_query traces =
               Printf.sprintf "%.2f" scan_ms;
               Printf.sprintf "%.2f" indexed_ms;
               Printf.sprintf "%.1fx" (scan_ms /. indexed_ms);
+              choice;
+              Printf.sprintf "%.2f" auto_ms;
               (if identical then "yes" else "NO");
             ])
           shapes)
@@ -1143,8 +1163,8 @@ let run_query traces =
   print_string
     (Ebp_util.Text_table.render
        ~header:
-         [ "workload"; "shape"; "scan ms"; "indexed ms"; "speedup";
-           "identical" ]
+         [ "workload"; "shape"; "scan ms"; "indexed ms"; "speedup"; "auto";
+           "auto ms"; "identical" ]
        ~rows ());
   if !mismatch then begin
     prerr_endline "query engine mismatch: compiled result differs from scan";

@@ -544,7 +544,7 @@ let check_source ?(fuel = default_fuel) ~seed source =
   let pcs =
     Array.init (Write_index.key_count pcp) (Write_index.key_at pcp)
   in
-  let all = Write_index.all_write_positions index in
+  let all = Trace.write_positions trace ~start:0 ~stop:(Trace.length trace) in
   let n_spots = min (Array.length all) 16 in
   let spots =
     Array.init n_spots (fun i ->

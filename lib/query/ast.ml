@@ -33,6 +33,20 @@ type query = {
 
 let equal (a : query) (b : query) = a = b
 
+(* The event window a predicate confines its matches to: the
+   intersection of its top-level [time in] conjuncts, or [None] when it
+   has none. No write outside it can match, so both engines may skip
+   the events past its end and the writes before its start; the
+   planner prices their passes by it. It may be empty ([a > b]). *)
+let rec window = function
+  | Time_in (a, b) -> Some (a, b)
+  | And (x, y) -> (
+      match (window x, window y) with
+      | Some (a, b), Some (c, d) -> Some (max a c, min b d)
+      | (Some _ as w), None | None, (Some _ as w) -> w
+      | None, None -> None)
+  | All | Pc_cmp _ | Pc_in _ | Addr_in _ | Live _ | Or _ | Not _ -> None
+
 (* --- canonical rendering (inverse of Parser.parse) --- *)
 
 let cmp_to_string = function

@@ -2,20 +2,29 @@
    operations, producing the sorted position set of matching writes
    without scanning the trace. Boolean connectives become Pos_set
    union/intersection/difference; [live] joins the per-object install
-   timelines against the word postings; aggregations walk only the
-   matched positions (fetching attributes through Trace.get_raw).
+   timelines against the word postings; [time in] reads the write
+   positions off the trace's tags over just its window, and the
+   universe that negation and complements are taken against is the same
+   read over the whole trace; aggregations walk only the matched
+   positions (fetching attributes through Trace.get_raw).
 
    The one subtlety is granularity: word postings are word-granular, so
    for a byte range whose endpoints fall mid-word, candidates found under
    the two BOUNDARY words are re-checked against the exact byte range
    (interior words are fully covered, so their candidates pass as-is).
    Wide (3+ word) writes are absent from the word posting and handled
-   individually, as everywhere else in the codebase. *)
+   individually, as everywhere else in the codebase.
+
+   A top-level [time in [a, b]] conjunct (Ast.window) confines the whole
+   evaluation to the open event window (a - 1, b + 1): the universe is
+   the window's writes, and postings and live windows are sliced to it.
+   Union, intersection and difference all commute with intersecting by
+   a fixed set, so each subterm's result is its unbounded result cut to
+   the window, and the conjunct makes the final result exactly that. *)
 
 module Trace = Ebp_trace.Trace
 module W = Ebp_trace.Write_index
 module P = W.Pos_set
-module Session = Ebp_sessions.Session
 
 let p_compile = Ebp_util.Fault.point "query.compile"
 
@@ -28,10 +37,20 @@ let lower_bound arr x =
   done;
   !lo
 
-let run trace index (q : Ast.query) : Qresult.raw =
+let run ~objects_of trace index (q : Ast.query) : Qresult.raw =
   Ebp_util.Fault.check p_compile;
   let events = W.events index in
-  let universe = lazy (W.all_write_positions index) in
+  (* The open event window every atom is evaluated in. *)
+  let after, before =
+    match Ast.window q.Ast.pred with
+    | None -> (-1, events)
+    | Some (a, b) -> (max (-1) (a - 1), min events (b + 1))
+  in
+  let writes_between a b =
+    let a = max a (after + 1) and b = min b (before - 1) in
+    if a > b then P.empty else Trace.write_positions trace ~start:a ~stop:(b + 1)
+  in
+  let universe = lazy (writes_between 0 (events - 1)) in
   let write_attrs i =
     Trace.get_raw trace i (fun ~tag:_ ~obj:_ ~lo ~hi ~pc -> (lo, hi, pc))
   in
@@ -73,25 +92,30 @@ let run trace index (q : Ast.query) : Qresult.raw =
   let pc_keys ki kj =
     let sets = ref [] in
     for k = ki to kj - 1 do
-      sets := W.positions_at pcs k ~after:(-1) ~before:events :: !sets
+      sets := W.positions_at pcs k ~after ~before :: !sets
     done;
     P.union !sets
   in
   (* Live windows with the scan table's semantics: a window opens at
      install, closes at remove OR at a re-install (which replaces the
-     range), and runs to the end of the trace if never closed. *)
+     range), and runs to the end of the trace if never closed; each is
+     cut to the evaluation window. *)
   let iter_live_windows o f =
-    let pending = ref None in
+    let opened = ref (-1) and rlo = ref 0 and rhi = ref 0 in
     let close b =
-      match !pending with
-      | Some (a, rlo, rhi) ->
-          if b - a > 1 then f ~after:a ~before:b ~rlo ~rhi;
-          pending := None
-      | None -> ()
+      if !opened >= 0 then begin
+        let a = max !opened after and b = min b before in
+        if b - a > 1 then f ~after:a ~before:b ~rlo:!rlo ~rhi:!rhi;
+        opened := -1
+      end
     in
     W.iter_object_timeline index o (fun ~ev ~is_install ~lo ~hi ->
         close ev;
-        if is_install then pending := Some (ev, lo, hi));
+        if is_install then begin
+          opened := ev;
+          rlo := lo;
+          rhi := hi
+        end);
     close events
   in
   let nobjs = Trace.object_count trace in
@@ -100,26 +124,22 @@ let run trace index (q : Ast.query) : Qresult.raw =
     | Ast.All -> Lazy.force universe
     | Ast.Pc_cmp (c, n) -> (
         match c with
-        | Ast.Eq -> W.positions pcs n ~after:(-1) ~before:events
-        | Ast.Ne ->
-            P.diff (Lazy.force universe)
-              (W.positions pcs n ~after:(-1) ~before:events)
+        | Ast.Eq -> W.positions pcs n ~after ~before
+        | Ast.Ne -> P.diff (Lazy.force universe) (W.positions pcs n ~after ~before)
         | Ast.Lt -> pc_keys 0 (W.key_lower_bound pcs n)
         | Ast.Le -> pc_keys 0 (W.key_upper_bound pcs n)
         | Ast.Gt -> pc_keys (W.key_upper_bound pcs n) (W.key_count pcs)
         | Ast.Ge -> pc_keys (W.key_lower_bound pcs n) (W.key_count pcs))
     | Ast.Pc_in (a, b) -> pc_keys (W.key_lower_bound pcs a) (W.key_upper_bound pcs b)
-    | Ast.Addr_in (a, b) -> writes_in_range ~after:(-1) ~before:events a b
-    | Ast.Time_in (a, b) ->
-        let b = min b (events - 1) in
-        if a > b then P.empty else P.within (Lazy.force universe) ~lo:(max a 0) ~hi:b
+    | Ast.Addr_in (a, b) -> writes_in_range ~after ~before a b
+    | Ast.Time_in (a, b) -> writes_between a b
     | Ast.Live s ->
         let sets = ref [] in
-        for o = 0 to nobjs - 1 do
-          if Session.matches s (Trace.object_of_id trace o) then
+        Array.iter
+          (fun o ->
             iter_live_windows o (fun ~after ~before ~rlo ~rhi ->
-                sets := writes_in_range ~after ~before rlo rhi :: !sets)
-        done;
+                sets := writes_in_range ~after ~before rlo rhi :: !sets))
+          (objects_of s);
         P.union !sets
     | Ast.And (a, b) -> P.inter (eval a) (eval b)
     | Ast.Or (a, b) -> P.union [ eval a; eval b ]
@@ -134,7 +154,9 @@ let run trace index (q : Ast.query) : Qresult.raw =
   | Ast.Count, None, None when q.Ast.pred = Ast.All ->
       Qresult.Count (W.total_writes index)
   | agg, group, bucket -> (
-      let positions = eval q.Ast.pred in
+      let positions =
+        if before - after <= 1 then P.empty else eval q.Ast.pred
+      in
       match (agg, group, bucket) with
       | Ast.Count, None, None -> Qresult.Count (Array.length positions)
       | Ast.Count_distinct field, _, _ ->

@@ -3,10 +3,14 @@
    install windows the [live] atoms and [group by object] need. It is
    deliberately the simplest possible executor — the differential oracle
    the compiled engine is asserted against, the same role the scan
-   replay engine plays for indexed replay. *)
+   replay engine plays for indexed replay.
+
+   A top-level [time in [a, b]] conjunct (Ast.window) bounds the pass:
+   it stops after event [b], and writes before [a] are skipped without
+   evaluating the predicate. Installs and removes before [a] are still
+   applied, so the live windows at [a] are exact. *)
 
 module Trace = Ebp_trace.Trace
-module Session = Ebp_sessions.Session
 
 (* The predicate with [live] atoms numbered, so the pass keeps one
    active-window table per atom. *)
@@ -55,38 +59,92 @@ let cmp_holds (c : Ast.cmp) x n =
   | Ast.Gt -> x > n
   | Ast.Ge -> x >= n
 
-let run trace (q : Ast.query) : Qresult.raw =
+(* The objects a [live] atom, or [group by object], currently sees
+   installed, with their ranges. Members sit densely in three parallel
+   arrays and [slot] maps an object id to its index there, so install,
+   re-install (which replaces the range) and remove are O(1), and a
+   write is checked against the members only. *)
+module Live_set = struct
+  type t = {
+    slot : int array;  (* per object id: its member index, or -1 *)
+    mutable ids : int array;
+    mutable los : int array;
+    mutable his : int array;
+    mutable n : int;
+  }
+
+  let create nobjs =
+    { slot = Array.make nobjs (-1); ids = Array.make 16 0;
+      los = Array.make 16 0; his = Array.make 16 0; n = 0 }
+
+  let grow a = Array.append a (Array.make (Array.length a) 0)
+
+  let install s o ~lo ~hi =
+    let k = s.slot.(o) in
+    if k >= 0 then begin
+      s.los.(k) <- lo;
+      s.his.(k) <- hi
+    end
+    else begin
+      if s.n = Array.length s.ids then begin
+        s.ids <- grow s.ids;
+        s.los <- grow s.los;
+        s.his <- grow s.his
+      end;
+      s.ids.(s.n) <- o;
+      s.los.(s.n) <- lo;
+      s.his.(s.n) <- hi;
+      s.slot.(o) <- s.n;
+      s.n <- s.n + 1
+    end
+
+  (* The last member moves into the freed slot. *)
+  let remove s o =
+    let k = s.slot.(o) in
+    if k >= 0 then begin
+      let last = s.n - 1 in
+      let moved = s.ids.(last) in
+      s.ids.(k) <- moved;
+      s.los.(k) <- s.los.(last);
+      s.his.(k) <- s.his.(last);
+      s.slot.(moved) <- k;
+      s.slot.(o) <- -1;
+      s.n <- last
+    end
+
+  let overlaps s lo hi =
+    let k = ref 0 in
+    while !k < s.n && not (lo <= s.his.(!k) && hi >= s.los.(!k)) do
+      incr k
+    done;
+    !k < s.n
+
+  let iter_overlapping s lo hi f =
+    for k = 0 to s.n - 1 do
+      if lo <= s.his.(k) && hi >= s.los.(k) then f s.ids.(k)
+    done
+end
+
+let run ~objects_of trace (q : Ast.query) : Qresult.raw =
   let ipred, atom_sessions = number_atoms q.Ast.pred in
   let natoms = Array.length atom_sessions in
   let nobjs = Trace.object_count trace in
-  (* Which atoms each object id matches, precomputed once. *)
+  (* Which atoms each object id matches, in ascending atom order. *)
   let obj_atoms = Array.make nobjs [] in
-  if natoms > 0 then
-    for o = 0 to nobjs - 1 do
-      let desc = Trace.object_of_id trace o in
-      let matching = ref [] in
-      for a = natoms - 1 downto 0 do
-        if Session.matches atom_sessions.(a) desc then matching := a :: !matching
-      done;
-      obj_atoms.(o) <- !matching
-    done;
-  let active = Array.init natoms (fun _ -> Hashtbl.create 16) in
+  for a = natoms - 1 downto 0 do
+    Array.iter
+      (fun o -> obj_atoms.(o) <- a :: obj_atoms.(o))
+      (objects_of atom_sessions.(a))
+  done;
+  let active = Array.init natoms (fun _ -> Live_set.create nobjs) in
   let group_objects = q.Ast.group = Some Ast.G_object in
-  let group_active : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let group_active = Live_set.create (if group_objects then nobjs else 0) in
   (* Aggregation state. *)
   let count = ref 0 in
   let distinct : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let groups : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let buckets : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)) in
-  let overlaps lo hi (alo, ahi) = lo <= ahi && hi >= alo in
-  let live_hit a lo hi =
-    let tbl = active.(a) in
-    try
-      Hashtbl.iter (fun _ r -> if overlaps lo hi r then raise Exit) tbl;
-      false
-    with Exit -> true
-  in
   let rec eval p ~i ~lo ~hi ~pc =
     match p with
     | I_all -> true
@@ -94,17 +152,22 @@ let run trace (q : Ast.query) : Qresult.raw =
     | I_pc_in (a, b) -> pc >= a && pc <= b
     | I_addr_in (a, b) -> lo <= b && hi >= a
     | I_time_in (a, b) -> i >= a && i <= b
-    | I_live a -> live_hit a lo hi
+    | I_live a -> Live_set.overlaps active.(a) lo hi
     | I_and (a, b) -> eval a ~i ~lo ~hi ~pc && eval b ~i ~lo ~hi ~pc
     | I_or (a, b) -> eval a ~i ~lo ~hi ~pc || eval b ~i ~lo ~hi ~pc
     | I_not a -> not (eval a ~i ~lo ~hi ~pc)
   in
+  let first, stop =
+    match Ast.window q.Ast.pred with
+    | None -> (0, Trace.length trace)
+    | Some (a, b) -> (a, max 0 (min (Trace.length trace) (b + 1)))
+  in
   let i = ref 0 in
-  Trace.iter_raw trace (fun ~tag ~obj ~lo ~hi ~pc ->
+  Trace.iter_raw_range trace ~start:0 ~stop (fun ~tag ~obj ~lo ~hi ~pc ->
       let pos = !i in
       incr i;
       if tag = 2 then begin
-        if eval ipred ~i:pos ~lo ~hi ~pc then begin
+        if pos >= first && eval ipred ~i:pos ~lo ~hi ~pc then begin
           match (q.Ast.agg, q.Ast.group, q.Ast.bucket) with
           | Ast.Count_distinct Ast.D_pc, _, _ -> Hashtbl.replace distinct pc ()
           | Ast.Count_distinct Ast.D_word, _, _ ->
@@ -115,9 +178,7 @@ let run trace (q : Ast.query) : Qresult.raw =
           | Ast.Count, Some Ast.G_object, _ ->
               (* A write can land in several live objects; it counts for
                  each (documented multi-count semantics). *)
-              Hashtbl.iter
-                (fun o r -> if overlaps lo hi r then bump groups o)
-                group_active
+              Live_set.iter_overlapping group_active lo hi (bump groups)
           | Ast.Count, None, Some width -> bump buckets (pos / width)
           | Ast.Count, None, None -> incr count
         end
@@ -127,12 +188,12 @@ let run trace (q : Ast.query) : Qresult.raw =
            window's range, a remove ends it. *)
         List.iter
           (fun a ->
-            if tag = 0 then Hashtbl.replace active.(a) obj (lo, hi)
-            else Hashtbl.remove active.(a) obj)
+            if tag = 0 then Live_set.install active.(a) obj ~lo ~hi
+            else Live_set.remove active.(a) obj)
           obj_atoms.(obj);
         if group_objects then
-          if tag = 0 then Hashtbl.replace group_active obj (lo, hi)
-          else Hashtbl.remove group_active obj
+          if tag = 0 then Live_set.install group_active obj ~lo ~hi
+          else Live_set.remove group_active obj
       end);
   let sorted_pairs tbl =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []

@@ -16,9 +16,7 @@ type choice = Use_scan | Build_index | Reuse_index
 type reason = Full | Partial_index | Checkpoint_restart
 
 type estimate = {
-  events : int;
-  sessions : int;
-  domains : int;
+  facts : (string * int) list;
   cached_index : bool;
   reason : reason;
   scan_cost : float;
@@ -33,7 +31,20 @@ let m_reuse = Metrics.counter "planner.decision.reuse"
 let m_partial = Metrics.counter "planner.decision.partial_index"
 let m_restart = Metrics.counter "planner.decision.checkpoint_restart"
 
-(* The cost model. Unit: "events visited by one domain", calibrated
+(* The one chooser: replay and queries price the same three options in
+   their own units and pick here. Reuse is only on the menu when an
+   index is cached or resident; ties go to the index. *)
+let choose ?(reason = Full) ~facts ~cached_index ~scan_cost ~build_cost
+    ~reuse_cost () =
+  let choice =
+    if cached_index && reuse_cost <= build_cost && reuse_cost <= scan_cost then
+      Reuse_index
+    else if build_cost <= scan_cost then Build_index
+    else Use_scan
+  in
+  { facts; cached_index; reason; scan_cost; build_cost; reuse_cost; choice }
+
+(* The replay cost model. Unit: "events visited by one domain", calibrated
    against bench/main.ml's engine-comparison section rather than derived
    — the constants only need to rank the three options correctly near
    their crossover points, not predict wall-clock.
@@ -54,7 +65,7 @@ let m_restart = Metrics.counter "planner.decision.checkpoint_restart"
 
    Reuse is only on the menu when a cached .widx exists; the planner
    never pays a speculative index load just to price it. *)
-let estimate ?(reason = Full) ~events ~sessions ~domains ~cached_index () =
+let estimate ?reason ~events ~sessions ~domains ~cached_index () =
   let ev = float_of_int (max events 1) in
   let se = float_of_int (max sessions 0) in
   let d = float_of_int (max domains 1) in
@@ -62,14 +73,9 @@ let estimate ?(reason = Full) ~events ~sessions ~domains ~cached_index () =
   let scan_cost = ev *. (1. +. (se /. d /. 32.)) in
   let reuse_cost = se /. d *. 48. *. log2_ev in
   let build_cost = (1.25 *. ev /. d) +. reuse_cost in
-  let choice =
-    if cached_index && reuse_cost <= build_cost && reuse_cost <= scan_cost then
-      Reuse_index
-    else if build_cost <= scan_cost then Build_index
-    else Use_scan
-  in
-  { events; sessions; domains; cached_index; reason; scan_cost; build_cost;
-    reuse_cost; choice }
+  choose ?reason
+    ~facts:[ ("events", events); ("sessions", sessions); ("domains", domains) ]
+    ~cached_index ~scan_cost ~build_cost ~reuse_cost ()
 
 let choice_name = function
   | Use_scan -> "scan"
@@ -88,11 +94,11 @@ let engine_of_choice = function
 (* The "planner: <choice> (" prefix is parsed by the benchmark's report
    assertions — extend inside the parentheses only. *)
 let log_line e =
-  Printf.sprintf
-    "planner: %s (events=%d sessions=%d domains=%d cached=%b reason=%s cost \
-     scan=%.3g build=%.3g reuse=%.3g)"
-    (choice_name e.choice) e.events e.sessions e.domains e.cached_index
-    (reason_name e.reason) e.scan_cost e.build_cost e.reuse_cost
+  Printf.sprintf "planner: %s (%s cached=%b reason=%s cost scan=%.3g build=%.3g \
+                  reuse=%.3g)"
+    (choice_name e.choice)
+    (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) e.facts))
+    e.cached_index (reason_name e.reason) e.scan_cost e.build_cost e.reuse_cost
 
 let record_decision e =
   Metrics.incr

@@ -1,4 +1,4 @@
-(** Cost-based engine selection for phase-2 replay.
+(** Cost-based engine selection for phase-2 replay and trace queries.
 
     The scan and indexed engines produce bit-identical reports but cross
     over in cost: indexed replay wins 5-6x on session-heavy workloads yet
@@ -11,8 +11,12 @@
     cheapest, and logs the decision. [--engine scan|indexed] remains the
     override; the planner is what [--engine auto] (the default) runs.
 
+    Queries price the same three options with their own model
+    ([Ebp_query.Query]) and decide through the same {!choose}, so one
+    decision record, one log line and one set of counters serve both.
+
     Correctness does not depend on the model: every branch funnels into
-    {!Replay.replay_all}, whose engines are differentially tested, so a
+    engines that are differentially tested against each other, so a
     mispriced decision costs time, never accuracy. *)
 
 type choice = Use_scan | Build_index | Reuse_index
@@ -28,16 +32,27 @@ type choice = Use_scan | Build_index | Reuse_index
 type reason = Full | Partial_index | Checkpoint_restart
 
 type estimate = {
-  events : int;
-  sessions : int;
-  domains : int;
+  facts : (string * int) list;
+      (** the priced inputs, in log order — replay's are [events],
+          [sessions] and [domains] *)
   cached_index : bool;
   reason : reason;
-  scan_cost : float;  (** modeled cost of one scan pass, all sessions *)
-  build_cost : float;  (** index build + indexed replay *)
-  reuse_cost : float;  (** indexed replay off a cached index *)
+  scan_cost : float;  (** modeled cost of the scan engine's pass *)
+  build_cost : float;  (** index build + the indexed engine's work *)
+  reuse_cost : float;  (** the indexed engine's work off a cached index *)
   choice : choice;
 }
+
+val choose :
+  ?reason:reason ->
+  facts:(string * int) list ->
+  cached_index:bool ->
+  scan_cost:float -> build_cost:float -> reuse_cost:float -> unit ->
+  estimate
+(** The decision rule every surface shares: [Reuse_index] when
+    [cached_index] holds and reuse is no dearer than the other two, else
+    [Build_index] when a build is no dearer than the scan, else
+    [Use_scan]. Costs only need to share a unit with each other. *)
 
 val estimate :
   ?reason:reason ->
@@ -65,8 +80,10 @@ val engine_of_choice : choice -> Replay.engine
 
 val log_line : estimate -> string
 (** The one-line human rendering of an estimate, e.g.
-    ["planner: build (events=... sessions=... ...)"] — what
-    {!replay} feeds the [?log] callback. *)
+    ["planner: build (events=... sessions=... ...)"]: the choice, then
+    inside the parentheses each fact as [name=value], [cached=],
+    [reason=] and the three costs — what {!replay} feeds the [?log]
+    callback. *)
 
 (** How the planner sees the index cache: an existence probe (priced into
     the estimate), a loader, and a store for freshly built indexes.

@@ -52,6 +52,7 @@ type storage = Heap of int array | Mapped of mapped
 type t = {
   storage : storage;
   count : int;
+  writes : int;  (* events tagged write; the rest install or remove *)
   objs : Object_desc.t array;
 }
 
@@ -59,6 +60,7 @@ module Builder = struct
   type builder = {
     mutable data : int array;
     mutable count : int;
+    mutable writes : int;
     mutable objs : Object_desc.t list;  (* reversed *)
     mutable obj_count : int;
     intern : (Object_desc.t, int) Hashtbl.t;
@@ -67,7 +69,8 @@ module Builder = struct
   type t = builder
 
   let create ?(hint = 1024) () =
-    { data = Array.make (max 16 hint * stride) 0; count = 0; objs = [];
+    { data = Array.make (max 16 hint * stride) 0; count = 0; writes = 0;
+      objs = [];
       obj_count = 0; intern = Hashtbl.create 64 }
 
   let ensure b =
@@ -118,9 +121,12 @@ module Builder = struct
     add_remove_id b (intern b obj) ~lo:(Interval.lo range) ~hi:(Interval.hi range)
 
   let add_write b range ~pc =
+    b.writes <- b.writes + 1;
     push b tag_write (Interval.lo range) (Interval.hi range) pc
 
-  let add_write_raw b ~lo ~hi ~pc = push b tag_write lo hi pc
+  let add_write_raw b ~lo ~hi ~pc =
+    b.writes <- b.writes + 1;
+    push b tag_write lo hi pc
 
   let length b = b.count
   let object_count b = b.obj_count
@@ -135,11 +141,13 @@ module Builder = struct
           (if Array.length b.data = used then b.data
            else Array.sub b.data 0 used);
       count = b.count;
+      writes = b.writes;
       objs = Array.of_list (List.rev b.objs);
     }
 end
 
 let length t = t.count
+let write_count t = t.writes
 let is_mapped t = match t.storage with Mapped _ -> true | Heap _ -> false
 
 let install_bounds t =
@@ -239,6 +247,29 @@ let iter_raw_range t ~start ~stop f =
       done
 
 let iter_raw t f = iter_raw_range t ~start:0 ~stop:t.count f
+
+let write_positions t ~start ~stop =
+  if start < 0 || stop > t.count || start > stop then
+    invalid_arg "Trace.write_positions: bad event range";
+  let out = Array.make (stop - start) 0 in
+  let n = ref 0 in
+  (match t.storage with
+  | Heap data ->
+      for i = start to stop - 1 do
+        if Array.unsafe_get data (i * stride) land 3 = tag_write then begin
+          Array.unsafe_set out !n i;
+          incr n
+        end
+      done
+  | Mapped m ->
+      let w0s = m.m_w0 in
+      for i = start to stop - 1 do
+        if Bigarray.Array1.unsafe_get w0s i land 3 = tag_write then begin
+          Array.unsafe_set out !n i;
+          incr n
+        end
+      done);
+  if !n = stop - start then out else Array.sub out 0 !n
 
 let iter_raw_skipping t ~skip ~on_skip f =
   match t.storage with
@@ -705,10 +736,13 @@ let decode_columnar s =
           Int64.to_int (String.get_int64_le s (base + (8 * i)))
       done
     done;
+    let writes = ref 0 in
     for i = 0 to h.h_count - 1 do
-      check_w0 ~nobjs:h.h_nobjs data.(i * stride)
+      let w0 = data.(i * stride) in
+      check_w0 ~nobjs:h.h_nobjs w0;
+      if w0 = tag_write then incr writes
     done;
-    let t = { storage = Heap data; count = h.h_count; objs } in
+    let t = { storage = Heap data; count = h.h_count; writes = !writes; objs } in
     (* The summaries drive block skipping; a mismatch would silently
        change which events replay visits, so they are re-derived and
        compared, not trusted. *)
@@ -742,9 +776,11 @@ let really_read fd buf =
    block's install/remove and write counts are compared with its
    summary, which block skipping trusts. It also faults in the pages of
    the hottest column. The lo/hi/pc columns are plain integers: any
-   value is safe, and only the CRC covers them. *)
+   value is safe, and only the CRC covers them. Returns the trace's
+   write count. *)
 let check_mapped h m =
   let nobjs = h.h_nobjs and s = m.m_summaries in
+  let total = ref 0 in
   for b = 0 to h.h_nblocks - 1 do
     let first = b * h.h_block_events in
     let stop = min h.h_count (first + h.h_block_events) in
@@ -754,8 +790,10 @@ let check_mapped h m =
       if w0 = tag_write then incr writes else check_w0 ~nobjs w0
     done;
     if s.{(4 * b) + 1} <> !writes || s.{4 * b} <> stop - first - !writes then
-      raise (Malformed "columnar block summary mismatch")
-  done
+      raise (Malformed "columnar block summary mismatch");
+    total := !total + !writes
+  done;
+  !total
 
 let map_columnar path =
   Obs_span.with_span "codec.map" @@ fun () ->
@@ -807,9 +845,9 @@ let map_columnar path =
         m_install = Atomic.make None;
       }
     in
-    check_mapped h m;
+    let writes = check_mapped h m in
     Metrics.add m_mapped_bytes file_len;
-    Ok ({ storage = Mapped m; count = h.h_count; objs }, meta)
+    Ok ({ storage = Mapped m; count = h.h_count; writes; objs }, meta)
   with
   | result -> result
   | exception Malformed msg -> Error msg

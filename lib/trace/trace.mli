@@ -69,6 +69,12 @@ module Builder : sig
 end
 
 val length : t -> int
+
+val write_count : t -> int
+(** Events tagged write, [O(1)]: counted as the trace is built, decoded
+    or mapped, so a planner can price a query without walking the
+    events. [length t - write_count t] are installs and removes. *)
+
 val get : t -> int -> event
 val iter : t -> (event -> unit) -> unit
 
@@ -91,6 +97,13 @@ val iter_raw_range :
 (** {!iter_raw} over events [start..stop-1]. Raises [Invalid_argument] on
     a range outside [0..length t]. Parallel consumers (the chunked index
     build) split a trace with this. *)
+
+val write_positions : t -> start:int -> stop:int -> int array
+(** The positions of the writes among events [start..stop-1], ascending:
+    one read of the tag per event, nothing else decoded. Raises
+    [Invalid_argument] on a range outside [0..length t]. The query
+    engine lowers [time in] windows and its position universe onto
+    this. *)
 
 val iter_raw_skipping :
   t ->

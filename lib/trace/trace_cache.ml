@@ -411,11 +411,14 @@ let gc ~dir ~max_bytes =
       (fun e -> e.entry_kind = Tmp_entry || e.entry_kind = Corrupt_entry)
       (entries ~dir)
   in
-  (* A key owns files only while its trace entry is here. An index or
-     checkpoint whose trace is gone — deleted by hand, or evicted by an
-     older GC — is dead weight no lookup will ever reach; so is every
-     file of a key that still has a v4 [.trace] entry, since no v5 key
-     names it. Reclaim them all with the litter. *)
+  (* An index is only reachable next to its trace: one whose trace is
+     gone — deleted by hand, or evicted by an older GC — is dead weight
+     no lookup will ever reach, and so is every file of a key that still
+     has a v4 [.trace] entry, since no v5 key names it. Reclaim them all
+     with the litter. A checkpoint chain is different: [ebp trace
+     --stream --checkpoint-every] and [ebp travel --cached] store one
+     with no trace entry, and [lookup_checkpoints] serves it alone, so
+     it is a live group of its own. *)
   let keys kind =
     let h = Hashtbl.create 64 in
     List.iter
@@ -430,7 +433,9 @@ let gc ~dir ~max_bytes =
     List.partition
       (fun e ->
         match owner_key e with
-        | Some k -> Hashtbl.mem stale k || not (Hashtbl.mem traces k)
+        | Some k ->
+            Hashtbl.mem stale k
+            || (e.entry_kind <> Checkpoint_entry && not (Hashtbl.mem traces k))
         | None -> true)
       live
   in
@@ -440,10 +445,11 @@ let gc ~dir ~max_bytes =
   in
   let acc = List.fold_left drop (0, 0) (litter @ orphans) in
   (* Evict whole ownership groups (a trace with its index and
-     checkpoint entries), coldest first — [live] is oldest-mtime-first
-     and every survivor's owner has a trace entry, so walking it and
-     deleting each entry's entire group on first contact keeps the
-     coldest-first order while never leaving a fresh orphan behind. *)
+     checkpoint entries, or a chain alone), coldest first — [live] is
+     oldest-mtime-first and every survivor is a trace, a chain, or an
+     index whose trace is here, so walking it and deleting each entry's
+     entire group on first contact keeps the coldest-first order while
+     never leaving a fresh orphan behind. *)
   let group_of key =
     List.filter (fun e -> owner_key e = Some key) live
   in

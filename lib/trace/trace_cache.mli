@@ -182,13 +182,15 @@ val clear : dir:string -> int * int
 val gc : dir:string -> max_bytes:int -> int * int
 (** [gc ~dir ~max_bytes] first deletes all temp files (an interrupted
     store's litter — harmless to a store in flight, which degrades to a
-    warning), quarantined corpses, orphans ([.widx] or [.ckpt] files
-    whose owning [<key>.ebpt3] is gone) and every file of a key that
-    still has a [Stale_entry], then evicts live entries
-    oldest-mtime-first until the directory's cache-owned footprint is at
-    most [max_bytes] — evicting whole ownership groups (a trace together
-    with its index and checkpoint entries) so it never mints new
-    orphans. Returns [(removed, reclaimed_bytes)]. *)
+    warning), quarantined corpses, orphans ([.widx] files whose owning
+    [<key>.ebpt3] is gone) and every file of a key that still has a
+    [Stale_entry], then evicts live entries oldest-mtime-first until the
+    directory's cache-owned footprint is at most [max_bytes] — evicting
+    whole ownership groups (a trace together with its index and
+    checkpoint entries) so it never mints new orphans. A checkpoint
+    chain with no trace entry (a streamed or time-travel recording
+    stores one alone) is a group of its own, not an orphan. Returns
+    [(removed, reclaimed_bytes)]. *)
 
 (** {2 Integrity scan} *)
 

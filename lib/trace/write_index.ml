@@ -120,6 +120,8 @@ let key_upper_bound p x =
 
 let key_at p i = p.keys.(i)
 
+let span_count p i j = p.offs.(j) - p.offs.(i)
+
 let count_at p i ~after ~before =
   let lo = p.offs.(i) and hi = p.offs.(i + 1) in
   lower_bound p.data lo hi before - lower_bound p.data lo hi (after + 1)
@@ -249,11 +251,6 @@ module Pos_set = struct
     done;
     Array.sub out 0 !w
 
-  let within a ~lo ~hi =
-    let n = Array.length a in
-    let i = lower_bound a 0 n lo in
-    let j = lower_bound a 0 n (hi + 1) in
-    Array.sub a i (j - i)
 end
 
 (* --- the index --- *)
@@ -605,19 +602,22 @@ let iter_object_timeline t o f =
       ~hi:t.obj_data.(base + 2)
   done
 
+let installed_at t o ev =
+  (* The last install/remove at or before [ev] decides; timelines are
+     short, so a linear walk beats a search. *)
+  let k = ref t.obj_offs.(o) and state = ref false in
+  let stop = t.obj_offs.(o + 1) in
+  while !k < stop && t.obj_data.(3 * !k) lsr 1 <= ev do
+    state := t.obj_data.(3 * !k) land 1 = 0;
+    incr k
+  done;
+  !state
+
 let word_writes t = t.word_writes
 let word_spans t = t.word_spans
 let pc_writes t = t.pc_writes
 let page_writes v = v.page_writes
 let page_spans v = v.page_spans
-
-(* Each write has exactly one pc, so the pc posting's data is a
-   permutation of all write positions: sorting a copy is the full
-   position universe without rescanning the trace. *)
-let all_write_positions t =
-  let u = Array.copy t.pc_writes.data in
-  Array.sort Int.compare u;
-  u
 
 let count_word_writes t ~word ~after ~before =
   posting_count t.word_writes word ~after ~before

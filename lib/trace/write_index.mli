@@ -95,6 +95,11 @@ val iter_object_timeline :
     of object id [o], in trace order, with the event's byte range.
     @raise Invalid_argument if [o] is not a valid object id. *)
 
+val installed_at : t -> int -> int -> bool
+(** [installed_at t o ev]: object [o]'s last install/remove at or before
+    event [ev] is an install. Read from its timeline, never the trace —
+    the query planner samples the live set with it. *)
+
 (** {2 Posting lists}
 
     All windows are open intervals on event indices: a count with
@@ -129,6 +134,10 @@ val key_range : posting -> lo:int -> hi:int -> int * int
 
 val key_at : posting -> int -> int
 
+val span_count : posting -> int -> int -> int
+(** [span_count p i j] is the number of events under keys [i..j-1] (whole
+    trace), [O(1)]. *)
+
 val key_count : posting -> int
 
 val key_lower_bound : posting -> int -> int
@@ -159,11 +168,6 @@ val positions : posting -> int -> after:int -> before:int -> int array
 (** As {!positions_at} but keyed: [positions p key ~after ~before] is
     [[||]] when [key] is absent. *)
 
-val all_write_positions : t -> int array
-(** The sorted positions of every write in the trace — the position-set
-    universe negation and complements are taken against. [O(writes log
-    writes)]; derived from {!pc_writes} without touching the trace. *)
-
 (** Sorted-int-array set algebra over write positions — what boolean
     connectives compile to. All inputs must be sorted ascending; [union]
     also deduplicates (a two-word write appears under both of its word
@@ -181,8 +185,6 @@ module Pos_set : sig
   (** Elements of the first input not in the second; the first input
       must be duplicate-free. *)
 
-  val within : int array -> lo:int -> hi:int -> int array
-  (** The slice of values in the {e closed} interval [[lo, hi]]. *)
 end
 
 (** {2 Word-level write counts (by key)} *)

@@ -31,6 +31,46 @@ let test_crc32_known_values () =
   Alcotest.check_raises "bad window" (Invalid_argument "Crc32.sub") (fun () ->
       ignore (Crc32.sub "abc" ~pos:2 ~len:2))
 
+(* The byte-at-a-time table CRC, kept here as the reference the sliced
+   implementation must match bit for bit. *)
+let reference_crc s ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+(* Every start offset 0-7 crossed with every length 0-64 covers each
+   alignment of the eight-byte step and each tail length; one multi-MB
+   buffer covers the long steady loop. *)
+let test_crc32_matches_reference () =
+  let prng = Ebp_util.Prng.create 32 in
+  let random n = String.init n (fun _ -> Char.chr (Ebp_util.Prng.int prng 256)) in
+  let small = random 80 in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      Alcotest.(check int)
+        (Printf.sprintf "pos=%d len=%d" pos len)
+        (reference_crc small ~pos ~len)
+        (Crc32.sub small ~pos ~len)
+    done
+  done;
+  let big = random (3 * 1024 * 1024 + 5) in
+  Alcotest.(check int) "3 MB buffer"
+    (reference_crc big ~pos:0 ~len:(String.length big))
+    (Crc32.string big);
+  Alcotest.(check int) "3 MB buffer, odd window"
+    (reference_crc big ~pos:3 ~len:(String.length big - 4))
+    (Crc32.sub big ~pos:3 ~len:(String.length big - 4))
+
 let test_crc32_sensitivity () =
   let base = Crc32.string "the quick brown fox" in
   Alcotest.(check bool) "one-byte change detected" false
@@ -499,6 +539,8 @@ let () =
         [
           Alcotest.test_case "known values" `Quick test_crc32_known_values;
           Alcotest.test_case "sensitivity" `Quick test_crc32_sensitivity;
+          Alcotest.test_case "matches the bytewise reference" `Quick
+            test_crc32_matches_reference;
         ] );
       ( "fault points",
         [

@@ -453,9 +453,10 @@ let test_cache_gc_evicts_oldest () =
         (Trace_cache.clear ~dir))
 
 let test_cache_gc_reclaims_orphans () =
-  (* An index or checkpoint chain whose owning trace entry is gone is an
-     orphan: unreferenceable through any lookup key path once the entry
-     disappears, so gc must reclaim it regardless of the byte budget. *)
+  (* An index whose owning trace entry is gone is an orphan:
+     unreferenceable through any lookup key path once the entry
+     disappears, so gc must reclaim it regardless of the byte budget. A
+     checkpoint chain is still served without its trace, so it stays. *)
   with_temp_cache_dir (fun dir ->
       let trace = synthetic_trace () in
       let key = Trace_cache.make_key ~name:"orphan" ~source:"s" ~seed:1 () in
@@ -473,13 +474,14 @@ let test_cache_gc_reclaims_orphans () =
       | Error msg -> Alcotest.fail msg);
       Alcotest.(check int) "trace + index + checkpoints" 3
         (List.length (Trace_cache.entries ~dir));
-      (* Orphan the artifacts by deleting the trace entry. *)
+      (* Orphan the index by deleting the trace entry. *)
       Sys.remove (Filename.concat dir (key ^ ".ebpt3"));
       let removed, reclaimed = Trace_cache.gc ~dir ~max_bytes:max_int in
-      Alcotest.(check int) "both orphans reclaimed" 2 removed;
-      Alcotest.(check bool) "their bytes counted" true (reclaimed > 0);
-      Alcotest.(check int) "cache empty" 0
-        (List.length (Trace_cache.entries ~dir));
+      Alcotest.(check int) "the orphaned index reclaimed" 1 removed;
+      Alcotest.(check bool) "its bytes counted" true (reclaimed > 0);
+      Alcotest.(check bool) "only the chain left" true
+        (List.map (fun e -> e.Trace_cache.entry_kind) (Trace_cache.entries ~dir)
+        = [ Trace_cache.Checkpoint_entry ]);
       (* A live key's artifacts are not orphans: re-store and re-index,
          then gc with an unlimited budget must keep everything. *)
       (match Trace_cache.store ~dir ~key trace with
@@ -490,6 +492,43 @@ let test_cache_gc_reclaims_orphans () =
       | Error msg -> Alcotest.fail msg);
       Alcotest.(check (pair int int)) "live artifacts kept" (0, 0)
         (Trace_cache.gc ~dir ~max_bytes:max_int))
+
+(* [ebp trace --stream F --checkpoint-every N] and [ebp travel --cached]
+   store a checkpoint chain with no trace entry. gc must keep such a
+   chain while the budget allows, and evict it coldest-first, as a group
+   of its own, when it does not. *)
+let test_cache_gc_keeps_lone_chains () =
+  with_temp_cache_dir (fun dir ->
+      let ok = function Ok () -> () | Error msg -> Alcotest.fail msg in
+      let trace = synthetic_trace () in
+      let key name = Trace_cache.make_key ~name ~source:"s" ~seed:1 () in
+      let chain_key = key "streamed" and traced = key "traced" in
+      ok (Trace_cache.store_checkpoints ~dir ~key:chain_key
+            (Ebp_trace.Checkpoint.create ()));
+      ok (Trace_cache.store ~dir ~key:traced trace);
+      Alcotest.(check (pair int int)) "a lone chain is not an orphan" (0, 0)
+        (Trace_cache.gc ~dir ~max_bytes:max_int);
+      Alcotest.(check bool) "the chain is still served" true
+        (Trace_cache.lookup_checkpoints ~dir ~key:chain_key <> None);
+      (* Make the chain the coldest group; a budget for the trace alone
+         evicts exactly the chain. *)
+      let chain_file =
+        (List.find
+           (fun e -> e.Trace_cache.entry_kind = Trace_cache.Checkpoint_entry)
+           (Trace_cache.entries ~dir))
+          .Trace_cache.entry_file
+      in
+      let t = Unix.gettimeofday () -. 300.0 in
+      Unix.utimes (Filename.concat dir chain_file) t t;
+      let trace_bytes =
+        (Unix.stat (Filename.concat dir (traced ^ ".ebpt3"))).Unix.st_size
+      in
+      let removed, _ = Trace_cache.gc ~dir ~max_bytes:trace_bytes in
+      Alcotest.(check int) "the coldest group, the chain, evicted" 1 removed;
+      Alcotest.(check bool) "the trace survives" true
+        (Trace_cache.lookup ~dir ~key:traced <> None);
+      Alcotest.(check bool) "the chain is gone" true
+        (Trace_cache.lookup_checkpoints ~dir ~key:chain_key = None))
 
 (* A cache directory left by the v4 layout: each key had a varint-coded
    [<key>.trace] entry next to a [<key>.ebpt3] sidecar, plus its indices.
@@ -718,6 +757,8 @@ let () =
             test_cache_gc_evicts_oldest;
           Alcotest.test_case "gc reclaims orphaned artifacts" `Quick
             test_cache_gc_reclaims_orphans;
+          Alcotest.test_case "gc keeps checkpoint chains with no trace" `Quick
+            test_cache_gc_keeps_lone_chains;
           Alcotest.test_case "gc reclaims v4 leftovers" `Quick
             test_cache_v4_leftovers;
           Alcotest.test_case "store crash consistency" `Quick

@@ -240,6 +240,106 @@ let check_reason reason =
 let test_reason_partial_index () = check_reason Planner.Partial_index
 let test_reason_checkpoint_restart () = check_reason Planner.Checkpoint_restart
 
+(* --- query choices on the five paper programs ---
+
+   The query shapes perfbench sends, on each paper program's recorded
+   trace with its index resident, under both reasons a served query can
+   carry. Each row pins the engine [--engine auto] must pick; the
+   expected engine is the faster one by a wide margin in bench/main.ml's
+   query section, so a refit that stays honest keeps these rows. *)
+
+let live_spec = function
+  | "compiler" -> "global:node_count"
+  | "typeset" -> "global:total_lines"
+  | "circuit" -> "global:steps_done"
+  | "lattice" -> "global:sweep_count"
+  | "puzzle" -> "global:expansions"
+  | name -> Alcotest.failf "no live spec for %s" name
+
+(* (shape, query over an [n]-event trace, expected choice) *)
+let query_shapes name n =
+  (* A 1% window from mid-trace, as perfbench draws them. *)
+  let a = n / 2 and b = (n / 2) + (n / 100) - 1 in
+  [
+    ( "window group by object",
+      Printf.sprintf "count where time in [%d,%d] group by object top 5" a b,
+      Planner.Use_scan );
+    ( "window count",
+      Printf.sprintf "count where time in [%d,%d]" a b,
+      Planner.Reuse_index );
+    ("group by pc", "count group by pc top 5", Planner.Use_scan);
+    ( "live",
+      Printf.sprintf "count where live(%s)" (live_spec name),
+      Planner.Reuse_index );
+    ( "live bucket",
+      Printf.sprintf "count where live(%s) bucket by %d" (live_spec name)
+        (max 1 (n / 16)),
+      Planner.Reuse_index );
+    ("bare count", "count", Planner.Reuse_index);
+  ]
+
+let test_query_choices () =
+  List.iter
+    (fun (w : Ebp_workloads.Workload.t) ->
+      let trace =
+        match Ebp_workloads.Workload.record w with
+        | Ok r -> r.Ebp_workloads.Workload.trace
+        | Error msg -> Alcotest.fail msg
+      in
+      let index =
+        Write_index.build ~page_sizes:Replay.default_page_sizes trace
+      in
+      List.iter
+        (fun (shape, expr, expected) ->
+          let q =
+            match Ebp_query.Query.parse expr with
+            | Ok q -> q
+            | Error _ -> Alcotest.failf "%s does not parse" expr
+          in
+          List.iter
+            (fun reason ->
+              let label =
+                Printf.sprintf "%s %s (%s)" w.Ebp_workloads.Workload.name
+                  shape (Planner.reason_name reason)
+              in
+              Metrics.reset ();
+              Metrics.set_enabled true;
+              let logged = ref [] in
+              let run =
+                Fun.protect
+                  ~finally:(fun () -> Metrics.set_enabled false)
+                  (fun () ->
+                    Ebp_query.Query.run ~index ~reason
+                      ~log:(fun l -> logged := l :: !logged)
+                      trace q)
+              in
+              let snap = Metrics.snapshot () in
+              Metrics.reset ();
+              let line = String.concat "" !logged in
+              (match run.Ebp_query.Query.planned with
+              | Some e ->
+                  Alcotest.(check string) label
+                    (Planner.choice_name expected)
+                    (Planner.choice_name e.Planner.choice)
+              | None -> Alcotest.failf "%s: auto planned nothing" label);
+              Alcotest.(check int)
+                (label ^ ": decision counted")
+                1
+                (counter_value snap ("planner.decision." ^ Planner.choice_name expected));
+              Alcotest.(check int)
+                (label ^ ": partial_index counted")
+                (if reason = Planner.Partial_index then 1 else 0)
+                (counter_value snap "planner.decision.partial_index");
+              Alcotest.(check bool)
+                (label ^ ": log line prices both engines")
+                true
+                (contains line ("planner: " ^ Planner.choice_name expected ^ " (")
+                && contains line "cost scan="
+                && contains line "visit="))
+            [ Planner.Full; Planner.Partial_index ])
+        (query_shapes w.Ebp_workloads.Workload.name (Trace.length trace)))
+    Ebp_workloads.Workload.all
+
 let () =
   Alcotest.run "planner"
     [
@@ -262,5 +362,9 @@ let () =
           Alcotest.test_case "partial_index" `Quick test_reason_partial_index;
           Alcotest.test_case "checkpoint_restart" `Quick
             test_reason_checkpoint_restart;
+        ] );
+      ( "queries",
+        [
+          Alcotest.test_case "paper-program choices" `Quick test_query_choices;
         ] );
     ]
