@@ -844,8 +844,10 @@ let synthetic_trace () =
 (* The streaming section's headline claims, each measured on synthetic
    workloads from the fuzzer's synthesizer:
      1. a >= 10^7-event trace records through the block emitter with
-        O(block) writer state — the process's peak heap barely moves,
-        where the batch builder would materialize ~events * 4 words;
+        O(block) writer state — the process's peak heap and peak
+        resident set barely move, where the batch builder would
+        materialize ~events * 4 words of columns (outside the heap, which
+        is why the resident set is read too);
      2. a live prefix query answers long before the recording would
         finish (time-to-first-answer is per-block, not per-trace);
      3. restarting replay from the nearest checkpoint beats a step-0
@@ -853,7 +855,20 @@ let synthetic_trace () =
      4. the streamed trace and incrementally-merged index are
         bit-identical to their batch counterparts.
    Runs first in the bench (before any trace is materialized) so the
-   top-of-heap delta in (1) measures streaming alone. *)
+   top-of-heap and peak-RSS deltas in (1) measure streaming alone. *)
+
+(* The process's peak resident set (VmHWM) in bytes, where /proc has it.
+   Unlike the GC's counters it sees memory outside the OCaml heap, such
+   as trace columns. *)
+let vm_hwm_bytes () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> None
+  | status ->
+      List.find_map
+        (fun line ->
+          Scanf.sscanf_opt line "VmHWM: %d kB" (fun kb -> kb * 1024))
+        (String.split_on_char '\n' status)
+
 let run_streaming () =
   let module Fuzz = Ebp_core.Fuzz in
   let module Stream = Ebp_trace.Stream in
@@ -878,6 +893,7 @@ let run_streaming () =
   in
   Gc.compact ();
   let top0 = (Gc.quick_stat ()).Gc.top_heap_words in
+  let hwm0 = vm_hwm_bytes () in
   let bytes_out = ref 0 and blocks = ref 0 in
   let big_events, record_ms =
     wall_ms (fun () ->
@@ -896,14 +912,23 @@ let run_streaming () =
     float_of_int (((Gc.quick_stat ()).Gc.top_heap_words - top0) * 8)
     /. 1048576.0
   in
+  let hwm_growth_mb =
+    match (hwm0, vm_hwm_bytes ()) with
+    | Some a, Some b -> Some (float_of_int (b - a) /. 1048576.0)
+    | _ -> None
+  in
   Printf.printf
     "record    %9d events -> %d sealed blocks, %.1f MB stream, %.0f ms\n"
     big_events !blocks
     (float_of_int !bytes_out /. 1048576.0)
     record_ms;
   Printf.printf
-    "memory    top-of-heap grew %.1f MB (batch builder would need >= %.0f MB)\n"
+    "memory    top-of-heap grew %.1f MB, peak RSS %s (batch builder would \
+     need >= %.0f MB)\n"
     top_growth_mb
+    (match hwm_growth_mb with
+    | Some mb -> Printf.sprintf "grew %.1f MB" mb
+    | None -> "unknown (no /proc/self/status)")
     (float_of_int (big_events * 4 * 8) /. 1048576.0);
   (* 2. Time-to-first-answer: a live job over the same program answers a
      prefix query after one sealed block, while the machine runs on. *)
@@ -1019,6 +1044,8 @@ let run_streaming () =
         ("stream_bytes", Json.Int !bytes_out);
         ("record_ms", Json.Float record_ms);
         ("top_heap_growth_mb", Json.Float top_growth_mb);
+        ( "hwm_growth_mb",
+          match hwm_growth_mb with Some mb -> Json.Float mb | None -> Json.Null );
         ("first_answer_ms", Json.Float first_answer_ms);
         ("first_high_water", Json.Int !first_hw);
         ("identical_trace", Json.Bool identical_trace);

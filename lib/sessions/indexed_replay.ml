@@ -27,23 +27,7 @@ let m_shards = Metrics.counter "replay.shards"
 let m_segments = Metrics.counter "replay.indexed.segments"
 let m_range_queries = Metrics.counter "replay.indexed.range_queries"
 
-(* Small growable int vector. *)
-module Vec = struct
-  type t = { mutable data : int array; mutable len : int }
-
-  let create () = { data = Array.make 8 0; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.data then begin
-      let bigger = Array.make (2 * v.len) 0 in
-      Array.blit v.data 0 bigger 0 v.len;
-      v.data <- bigger
-    end;
-    v.data.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let to_array v = Array.sub v.data 0 v.len
-end
+module Vec = Ebp_util.Int_vec
 
 (* Live windows are open event-index intervals (a, b): a session is live
    for writes at positions t with a < t < b. Stored flattened as
@@ -140,55 +124,6 @@ let groups_of_grouping gr =
         arr;
       arr
 
-(* Merge two sorted int array slices with direct comparisons. *)
-let merge_into src alo alen blo blen dst off =
-  let i = ref alo and j = ref blo and k = ref off in
-  let aend = alo + alen and bend = blo + blen in
-  while !i < aend && !j < bend do
-    let a = Array.unsafe_get src !i and b = Array.unsafe_get src !j in
-    if a <= b then begin
-      Array.unsafe_set dst !k a;
-      incr i
-    end
-    else begin
-      Array.unsafe_set dst !k b;
-      incr j
-    end;
-    incr k
-  done;
-  while !i < aend do
-    Array.unsafe_set dst !k (Array.unsafe_get src !i);
-    incr i;
-    incr k
-  done;
-  while !j < bend do
-    Array.unsafe_set dst !k (Array.unsafe_get src !j);
-    incr j;
-    incr k
-  done
-
-(* Bottom-up balanced merge of the sorted runs [starts.(r), starts.(r+1))
-   of [arr]: n log(runs) direct int comparisons, no comparison closure. *)
-let merge_runs arr starts nruns =
-  let n = Array.length arr in
-  let a = ref arr and b = ref (Array.make n 0) in
-  let width = ref 1 in
-  while !width < nruns do
-    let r = ref 0 in
-    while !r < nruns do
-      let lo = starts.(!r) in
-      let mid = starts.(min nruns (!r + !width)) in
-      let hi = starts.(min nruns (!r + (2 * !width))) in
-      merge_into !a lo (mid - lo) mid (hi - mid) !b lo;
-      r := !r + (2 * !width)
-    done;
-    let t = !a in
-    a := !b;
-    b := t;
-    width := 2 * !width
-  done;
-  !a
-
 (* A group's events as one ascending run: already sorted when fed by a
    single object (the common case — runs is empty); otherwise merge its
    recorded runs (per-object timelines are chronological, so the Vec is a
@@ -201,7 +136,7 @@ let sorted_events g =
     let starts = Array.make (nruns + 1) 0 in
     Array.blit g.runs.Vec.data 0 starts 1 g.runs.Vec.len;
     starts.(nruns) <- g.evs.Vec.len;
-    merge_runs (Vec.to_array g.evs) starts nruns
+    Vec.merge_runs (Vec.to_array g.evs) starts nruns
   end
 
 (* A group prepared for segment building: its range plus its events as
@@ -365,27 +300,12 @@ let build_segments ~events ~windows_of groups =
              incr next
            done;
            active := List.filter (fun x -> cluster.(x).p_hi >= s_lo) !active;
-           let total =
-             List.fold_left
-               (fun acc x -> acc + Array.length cluster.(x).p_evs)
-               0 !active
+           (* The covering groups' events are sorted runs: merge them,
+              no closure sort. *)
+           let merged =
+             Vec.merge_sorted (List.map (fun x -> cluster.(x).p_evs) !active)
            in
-           if total > 0 then begin
-             (* Concatenate the covering groups' sorted runs and merge
-                them — each is already sorted, so no closure sort. *)
-             let merged = Array.make total 0 in
-             let starts = Vec.create () in
-             let off = ref 0 in
-             List.iter
-               (fun x ->
-                 let evs = cluster.(x).p_evs in
-                 Vec.push starts !off;
-                 Array.blit evs 0 merged !off (Array.length evs);
-                 off := !off + Array.length evs)
-               !active;
-             let nruns = starts.Vec.len in
-             Vec.push starts total;
-             let merged = merge_runs merged (Vec.to_array starts) nruns in
+           if Array.length merged > 0 then begin
              let w, p, u = windows_of ~events merged in
              emit s_lo s_hi w p u
            end

@@ -230,15 +230,15 @@ let replay_shard ~page_sizes trace sessions =
      sessions co-locate on the written words. *)
   let scratch = Bitmap.create (max 1 nsessions) in
   let hit_marks = ref [] in
-  (* Block skipping on mapped traces: monitored words and active pages
-     only ever lie inside the trace's global install bounds, so a block
-     of pure writes whose range is disjoint from those bounds at the
-     COARSEST granularity in play (words are 4 bytes; pages are coarser)
-     can contribute nothing but its write count — and coarse-page
-     disjointness implies disjointness at every finer granularity,
-     because a coarse page is a whole number of fine pages. Only
-     [total_writes] moves, so the resulting counts are bit-identical to
-     the full scan's. *)
+  (* Block skipping, over the summaries every trace carries: monitored
+     words and active pages only ever lie inside the trace's global
+     install bounds, so a block of pure writes whose range is disjoint
+     from those bounds at the COARSEST granularity in play (words are 4
+     bytes; pages are coarser) can contribute nothing but its write
+     count — and coarse-page disjointness implies disjointness at every
+     finer granularity, because a coarse page is a whole number of fine
+     pages. Only [total_writes] moves, so the resulting counts are
+     bit-identical to the full scan's. *)
   let blocks_skipped = ref 0 and writes_skipped = ref 0 in
   let skip =
     match Trace.install_bounds trace with

@@ -5,60 +5,69 @@ type event =
   | Remove of { obj : Object_desc.t; range : Interval.t }
   | Write of { range : Interval.t; pc : int }
 
-(* Packed storage: 4 ints per event — tagged object word, lo, hi, pc.
-   The tag lives in the low 2 bits of the first word; the object id (or 0
-   for writes) in the remaining bits. *)
+(* One layout for every trace, whoever made it: four columns of native
+   ints, one entry per event — the tagged object word w0, lo, hi, pc —
+   as int Bigarrays. The tag lives in the low 2 bits of w0; the object
+   id (or 0 for writes) in the remaining bits; pc is -1 on installs and
+   removes. The recorder and the stream reader fill the columns through
+   [Builder], [decode_columnar] copies them out of an EBPT3 image, and
+   [map_columnar] points them at an mmap'd EBPT3 file, so every reader
+   below has one code path. Columns live outside the OCaml heap either
+   way; a mapped trace's are the file's pages, shared read-only across
+   domains and server tenants. *)
 let stride = 4
 let tag_install = 0
 let tag_remove = 1
 let tag_write = 2
 
-(* Two physical layouts behind one abstract type:
-
-   - [Heap]: the classic interleaved [int array] (4 ints per event). The
-     builder, the stream reader, and the fully-checked EBPT3 decoder all
-     produce this form.
-   - [Mapped]: the EBPT3 columnar form — four struct-of-arrays columns
-     read in place from an mmap'd file as int Bigarrays, plus per-block
-     min/max summaries. Nothing is decoded on load and nothing lives on
-     the OCaml heap except the (small) object side table, so a mapped
-     trace is shareable read-only across domains and across server
-     tenants for free. See the EBPT3 codec comment below. *)
+(* Events per summary block; EBPT3 writes the summaries with this
+   block size and nothing else. *)
+let columnar_block_events = 4096
 
 type int_column = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type mapped = {
-  m_w0 : int_column;
-  m_lo : int_column;
-  m_hi : int_column;
-  m_pc : int_column;
-  (* 4 ints per block: install/remove count, write count, min write lo,
-     max write hi. *)
-  m_summaries : int_column;
-  m_block_events : int;
-  (* Bounds of every install/remove range in the trace, once derived:
-     anything a session can monitor lies inside, so a pure-write block
-     disjoint from them cannot produce hits or page touches. They are
-     derived from the events on first use, not taken from the header: a
-     wrong bound would skip blocks that hold hits, and checking the
-     header's copy at load time would read the lo/hi pages of every
-     install and remove on every warm lookup. Racing domains derive the
-     same value, so the cache needs no lock. *)
-  m_install : (int * int) option option Atomic.t;
-}
-
-type storage = Heap of int array | Mapped of mapped
+let column n : int_column = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 
 type t = {
-  storage : storage;
+  w0 : int_column;
+  lo : int_column;
+  hi : int_column;
+  pc : int_column;
   count : int;
   writes : int;  (* events tagged write; the rest install or remove *)
   objs : Object_desc.t array;
+  mapped : bool;
+  (* 4 ints per block of [columnar_block_events] events: install/remove
+     count, write count, min write lo, max write hi. A mapped trace has
+     its file's (checked at map time) and a decoded one the copy it
+     re-derived and compared; a built one derives them on first use, so
+     a record that nobody replays pays no pass for them. *)
+  summaries : int_column option Atomic.t;
+  (* The lowest lo and highest hi over every install/remove, once
+     derived; (max_int, min_int) when there are none. Anything a session
+     can monitor lies inside, so a pure-write block disjoint from it
+     cannot produce hits or page touches. A mapped trace derives it from
+     the events on first use, not from the header: a wrong bound would
+     skip blocks that hold hits, and checking the header's copy at load
+     time would read the lo/hi pages of every install and remove on
+     every warm lookup. Racing domains derive the same values, so
+     neither cache needs a lock. *)
+  install : (int * int) option Atomic.t;
 }
+
+let make ~w0 ~lo ~hi ~pc ~count ~writes ~objs ~mapped ?summaries () =
+  {
+    w0; lo; hi; pc; count; writes; objs; mapped;
+    summaries = Atomic.make summaries;
+    install = Atomic.make None;
+  }
 
 module Builder = struct
   type builder = {
-    mutable data : int array;
+    mutable w0 : int_column;
+    mutable lo : int_column;
+    mutable hi : int_column;
+    mutable pc : int_column;
     mutable count : int;
     mutable writes : int;
     mutable objs : Object_desc.t list;  (* reversed *)
@@ -69,17 +78,22 @@ module Builder = struct
   type t = builder
 
   let create ?(hint = 1024) () =
-    { data = Array.make (max 16 hint * stride) 0; count = 0; writes = 0;
-      objs = [];
+    let n = max 16 hint in
+    { w0 = column n; lo = column n; hi = column n; pc = column n;
+      count = 0; writes = 0; objs = [];
       obj_count = 0; intern = Hashtbl.create 64 }
 
-  let ensure b =
-    let needed = (b.count + 1) * stride in
-    if needed > Array.length b.data then begin
-      let bigger = Array.make (max needed (2 * Array.length b.data)) 0 in
-      Array.blit b.data 0 bigger 0 (b.count * stride);
-      b.data <- bigger
-    end
+  (* Copy the filled prefix of each column into fresh columns of [n]. *)
+  let resize b n =
+    let move c =
+      let c' = column n in
+      Bigarray.Array1.(blit (sub c 0 b.count) (sub c' 0 b.count));
+      c'
+    in
+    b.w0 <- move b.w0;
+    b.lo <- move b.lo;
+    b.hi <- move b.hi;
+    b.pc <- move b.pc
 
   (* [register] appends without consulting the intern table: the recorder
      mints a fresh descriptor per activation, so an intern lookup would
@@ -102,13 +116,13 @@ module Builder = struct
         id
 
   let push b w0 lo hi pc =
-    ensure b;
-    let base = b.count * stride in
-    b.data.(base) <- w0;
-    b.data.(base + 1) <- lo;
-    b.data.(base + 2) <- hi;
-    b.data.(base + 3) <- pc;
-    b.count <- b.count + 1
+    let i = b.count in
+    if i = Bigarray.Array1.dim b.w0 then resize b (2 * i);
+    Bigarray.Array1.unsafe_set b.w0 i w0;
+    Bigarray.Array1.unsafe_set b.lo i lo;
+    Bigarray.Array1.unsafe_set b.hi i hi;
+    Bigarray.Array1.unsafe_set b.pc i pc;
+    b.count <- i + 1
 
   let add_install_id b id ~lo ~hi = push b ((id lsl 2) lor tag_install) lo hi (-1)
 
@@ -132,87 +146,111 @@ module Builder = struct
   let object_count b = b.obj_count
 
   let finish b =
-    let used = b.count * stride in
-    {
-      (* A well-hinted builder lands exactly full: hand the buffer over
-         without the copy. The builder must not be reused after. *)
-      storage =
-        Heap
-          (if Array.length b.data = used then b.data
-           else Array.sub b.data 0 used);
-      count = b.count;
-      writes = b.writes;
-      objs = Array.of_list (List.rev b.objs);
-    }
+    (* A well-hinted builder lands exactly full: hand the columns over
+       without the copy. The builder must not be reused after. *)
+    if Bigarray.Array1.dim b.w0 <> b.count then resize b b.count;
+    make ~w0:b.w0 ~lo:b.lo ~hi:b.hi ~pc:b.pc ~count:b.count ~writes:b.writes
+      ~objs:(Array.of_list (List.rev b.objs)) ~mapped:false ()
 end
 
 let length t = t.count
 let write_count t = t.writes
-let is_mapped t = match t.storage with Mapped _ -> true | Heap _ -> false
+let is_mapped t = t.mapped
 
-let install_bounds t =
-  match t.storage with
-  | Heap _ -> None
-  | Mapped m -> (
-      match Atomic.get m.m_install with
-      | Some bounds -> bounds
+(* Per-block summaries plus the install range, in one pass over w0, lo
+   and hi. *)
+let derive_summaries t =
+  let be = columnar_block_events in
+  let nblocks = (t.count + be - 1) / be in
+  let s = column (4 * nblocks) in
+  let ilo = ref max_int and ihi = ref min_int in
+  for b = 0 to nblocks - 1 do
+    let first = b * be in
+    let stop = min t.count (first + be) in
+    let meta = ref 0 and mn = ref max_int and mx = ref min_int in
+    for i = first to stop - 1 do
+      let lo = Bigarray.Array1.unsafe_get t.lo i in
+      let hi = Bigarray.Array1.unsafe_get t.hi i in
+      if Bigarray.Array1.unsafe_get t.w0 i land 3 = tag_write then begin
+        if lo < !mn then mn := lo;
+        if hi > !mx then mx := hi
+      end
+      else begin
+        incr meta;
+        if lo < !ilo then ilo := lo;
+        if hi > !ihi then ihi := hi
+      end
+    done;
+    let writes = stop - first - !meta in
+    s.{4 * b} <- !meta;
+    s.{(4 * b) + 1} <- writes;
+    s.{(4 * b) + 2} <- (if writes = 0 then 0 else !mn);
+    s.{(4 * b) + 3} <- (if writes = 0 then -1 else !mx)
+  done;
+  (s, (!ilo, !ihi))
+
+let summaries t =
+  match Atomic.get t.summaries with
+  | Some s -> s
+  | None ->
+      let s, range = derive_summaries t in
+      Atomic.set t.install (Some range);
+      Atomic.set t.summaries (Some s);
+      s
+
+(* The install range as EBPT3's header stores it. Deriving the summaries
+   derives it too; a trace that came with summaries reads only the blocks
+   whose summary counts an install or remove. *)
+let install_range t =
+  match Atomic.get t.install with
+  | Some range -> range
+  | None -> (
+      let s = summaries t in
+      match Atomic.get t.install with
+      | Some range -> range
       | None ->
-          (* Blocks whose (load-checked) summary counts no install or
-             remove hold nothing to read. *)
           let lo = ref max_int and hi = ref min_int in
-          for b = 0 to (Bigarray.Array1.dim m.m_summaries / 4) - 1 do
-            if m.m_summaries.{4 * b} > 0 then
-              for i = b * m.m_block_events
-                  to min t.count ((b + 1) * m.m_block_events) - 1 do
-                if Bigarray.Array1.unsafe_get m.m_w0 i <> tag_write then begin
-                  let l = Bigarray.Array1.unsafe_get m.m_lo i in
-                  let h = Bigarray.Array1.unsafe_get m.m_hi i in
+          for b = 0 to (Bigarray.Array1.dim s / 4) - 1 do
+            if s.{4 * b} > 0 then
+              for i = b * columnar_block_events
+                  to min t.count ((b + 1) * columnar_block_events) - 1 do
+                if Bigarray.Array1.unsafe_get t.w0 i land 3 <> tag_write then begin
+                  let l = Bigarray.Array1.unsafe_get t.lo i in
+                  let h = Bigarray.Array1.unsafe_get t.hi i in
                   if l < !lo then lo := l;
                   if h > !hi then hi := h
                 end
               done
           done;
-          let bounds = if !lo <= !hi then Some (!lo, !hi) else None in
-          Atomic.set m.m_install (Some bounds);
-          bounds)
+          Atomic.set t.install (Some (!lo, !hi));
+          (!lo, !hi))
 
-(* Column access, one closure per column: cold consumers (the codecs,
-   [get]) dispatch on the storage once and then read either layout
-   through the same shape. The hot iterators below specialize the whole
-   loop per layout instead. *)
-let column_getter t j =
-  match t.storage with
-  | Heap data -> fun i -> Array.unsafe_get data ((i * stride) + j)
-  | Mapped m ->
-      let c =
-        match j with
-        | 0 -> m.m_w0
-        | 1 -> m.m_lo
-        | 2 -> m.m_hi
-        | _ -> m.m_pc
-      in
-      fun i -> Bigarray.Array1.unsafe_get c i
+let install_bounds t =
+  let lo, hi = install_range t in
+  if lo <= hi then Some (lo, hi) else None
 
 let get t i =
   if i < 0 || i >= t.count then invalid_arg "Trace.get: index out of range";
-  let word j = (column_getter t j) i in
-  let w0 = word 0 in
+  let w0 = Bigarray.Array1.unsafe_get t.w0 i in
   let tag = w0 land 3 in
-  let range = Interval.make ~lo:(word 1) ~hi:(word 2) in
-  if tag = tag_write then Write { range; pc = word 3 }
+  let range =
+    Interval.make ~lo:(Bigarray.Array1.unsafe_get t.lo i)
+      ~hi:(Bigarray.Array1.unsafe_get t.hi i)
+  in
+  if tag = tag_write then Write { range; pc = Bigarray.Array1.unsafe_get t.pc i }
   else
     let obj = t.objs.(w0 lsr 2) in
     if tag = tag_install then Install { obj; range } else Remove { obj; range }
 
 let get_raw t i f =
   if i < 0 || i >= t.count then invalid_arg "Trace.get_raw: index out of range";
-  let word j = (column_getter t j) i in
-  let w0 = word 0 in
+  let w0 = Bigarray.Array1.unsafe_get t.w0 i in
   let tag = w0 land 3 in
   f ~tag
     ~obj:(if tag = tag_write then -1 else w0 lsr 2)
-    ~lo:(word 1) ~hi:(word 2)
-    ~pc:(if tag = tag_write then word 3 else -1)
+    ~lo:(Bigarray.Array1.unsafe_get t.lo i)
+    ~hi:(Bigarray.Array1.unsafe_get t.hi i)
+    ~pc:(if tag = tag_write then Bigarray.Array1.unsafe_get t.pc i else -1)
 
 let iter t f =
   for i = 0 to t.count - 1 do
@@ -222,29 +260,16 @@ let iter t f =
 let iter_raw_range t ~start ~stop f =
   if start < 0 || stop > t.count || start > stop then
     invalid_arg "Trace.iter_raw_range: bad event range";
-  match t.storage with
-  | Heap data ->
-      for i = start to stop - 1 do
-        let base = i * stride in
-        let w0 = Array.unsafe_get data base in
-        let tag = w0 land 3 in
-        f ~tag
-          ~obj:(if tag = tag_write then -1 else w0 lsr 2)
-          ~lo:(Array.unsafe_get data (base + 1))
-          ~hi:(Array.unsafe_get data (base + 2))
-          ~pc:(if tag = tag_write then Array.unsafe_get data (base + 3) else -1)
-      done
-  | Mapped m ->
-      let w0s = m.m_w0 and los = m.m_lo and his = m.m_hi and pcs = m.m_pc in
-      for i = start to stop - 1 do
-        let w0 = Bigarray.Array1.unsafe_get w0s i in
-        let tag = w0 land 3 in
-        f ~tag
-          ~obj:(if tag = tag_write then -1 else w0 lsr 2)
-          ~lo:(Bigarray.Array1.unsafe_get los i)
-          ~hi:(Bigarray.Array1.unsafe_get his i)
-          ~pc:(if tag = tag_write then Bigarray.Array1.unsafe_get pcs i else -1)
-      done
+  let w0s = t.w0 and los = t.lo and his = t.hi and pcs = t.pc in
+  for i = start to stop - 1 do
+    let w0 = Bigarray.Array1.unsafe_get w0s i in
+    let tag = w0 land 3 in
+    f ~tag
+      ~obj:(if tag = tag_write then -1 else w0 lsr 2)
+      ~lo:(Bigarray.Array1.unsafe_get los i)
+      ~hi:(Bigarray.Array1.unsafe_get his i)
+      ~pc:(if tag = tag_write then Bigarray.Array1.unsafe_get pcs i else -1)
+  done
 
 let iter_raw t f = iter_raw_range t ~start:0 ~stop:t.count f
 
@@ -253,41 +278,27 @@ let write_positions t ~start ~stop =
     invalid_arg "Trace.write_positions: bad event range";
   let out = Array.make (stop - start) 0 in
   let n = ref 0 in
-  (match t.storage with
-  | Heap data ->
-      for i = start to stop - 1 do
-        if Array.unsafe_get data (i * stride) land 3 = tag_write then begin
-          Array.unsafe_set out !n i;
-          incr n
-        end
-      done
-  | Mapped m ->
-      let w0s = m.m_w0 in
-      for i = start to stop - 1 do
-        if Bigarray.Array1.unsafe_get w0s i land 3 = tag_write then begin
-          Array.unsafe_set out !n i;
-          incr n
-        end
-      done);
+  let w0s = t.w0 in
+  for i = start to stop - 1 do
+    if Bigarray.Array1.unsafe_get w0s i land 3 = tag_write then begin
+      Array.unsafe_set out !n i;
+      incr n
+    end
+  done;
   if !n = stop - start then out else Array.sub out 0 !n
 
 let iter_raw_skipping t ~skip ~on_skip f =
-  match t.storage with
-  | Heap _ -> iter_raw t f
-  | Mapped m ->
-      let s = m.m_summaries in
-      let nblocks = Bigarray.Array1.dim s / 4 in
-      for b = 0 to nblocks - 1 do
-        let base = 4 * b in
-        let meta = s.{base} and writes = s.{base + 1} in
-        if meta = 0 && writes > 0
-           && skip ~min_lo:s.{base + 2} ~max_hi:s.{base + 3}
-        then on_skip ~writes
-        else
-          iter_raw_range t ~start:(b * m.m_block_events)
-            ~stop:(min t.count ((b + 1) * m.m_block_events))
-            f
-      done
+  let s = summaries t in
+  for b = 0 to (Bigarray.Array1.dim s / 4) - 1 do
+    let base = 4 * b in
+    let meta = s.{base} and writes = s.{base + 1} in
+    if meta = 0 && writes > 0 && skip ~min_lo:s.{base + 2} ~max_hi:s.{base + 3}
+    then on_skip ~writes
+    else
+      iter_raw_range t ~start:(b * columnar_block_events)
+        ~stop:(min t.count ((b + 1) * columnar_block_events))
+        f
+  done
 
 let object_count t = Array.length t.objs
 let object_of_id t id = t.objs.(id)
@@ -348,27 +359,23 @@ let to_text t =
 (* --- structural equality ---
 
    Two traces are equal when they hold the same object table and the
-   same events, field by field as [iter_raw] presents them, whatever
-   their storage. This is the reference the codecs, the streaming
-   recorder and the cache are checked against, so it depends on no
-   codec itself. *)
+   same events, field by field as [iter_raw] presents them, mapped or
+   not. This is the reference the codecs, the streaming recorder and
+   the cache are checked against, so it depends on no codec itself. *)
 
 let equal a b =
   a.count = b.count
   && Array.length a.objs = Array.length b.objs
   && Array.for_all2 Object_desc.equal a.objs b.objs
   &&
-  let w0 = column_getter a 0 and w0' = column_getter b 0 in
-  let lo = column_getter a 1 and lo' = column_getter b 1 in
-  let hi = column_getter a 2 and hi' = column_getter b 2 in
-  let pc = column_getter a 3 and pc' = column_getter b 3 in
+  let get (c : int_column) i = Bigarray.Array1.unsafe_get c i in
   let rec same i =
     i = a.count
-    || (let w = w0 i in
-        w = w0' i
-        && lo i = lo' i
-        && hi i = hi' i
-        && (w land 3 <> tag_write || pc i = pc' i)
+    || (let w = get a.w0 i in
+        w = get b.w0 i
+        && get a.lo i = get b.lo i
+        && get a.hi i = get b.hi i
+        && (w land 3 <> tag_write || get a.pc i = get b.pc i)
         && same (i + 1))
   in
   same 0
@@ -440,7 +447,6 @@ exception Malformed of string
 
 let columnar_version = "EBPT3"
 let columnar_magic = "EBPT3\x00\x00\x00"
-let columnar_block_events = 4096
 let columnar_header_len = 8 + (8 * 8)
 let columnar_trailer_magic = "EBPZ"
 let columnar_trailer_len = 12
@@ -576,38 +582,6 @@ let decode_obj_table ~nobjs blob ~pos:pos0 ~objs_end =
   if !pos <> objs_end then fail "trailing bytes in columnar object table";
   objs
 
-(* Per-block summaries plus the global install bounds, computed from
-   either storage. Shared by the encoder and the decoder's consistency
-   check, so a corrupt summary can never silently disable or misdirect
-   block skipping. *)
-let compute_summaries t =
-  let be = columnar_block_events in
-  let nblocks = (t.count + be - 1) / be in
-  let sums = Array.make (nblocks * 4) 0 in
-  let ilo = ref max_int and ihi = ref min_int in
-  for b = 0 to nblocks - 1 do
-    let meta = ref 0 and writes = ref 0 in
-    let mn = ref max_int and mx = ref min_int in
-    iter_raw_range t ~start:(b * be) ~stop:(min t.count ((b + 1) * be))
-      (fun ~tag ~obj:_ ~lo ~hi ~pc:_ ->
-        if tag = tag_write then begin
-          incr writes;
-          if lo < !mn then mn := lo;
-          if hi > !mx then mx := hi
-        end
-        else begin
-          incr meta;
-          if lo < !ilo then ilo := lo;
-          if hi > !ihi then ihi := hi
-        end);
-    let base = 4 * b in
-    sums.(base) <- !meta;
-    sums.(base + 1) <- !writes;
-    sums.(base + 2) <- (if !writes = 0 then 0 else !mn);
-    sums.(base + 3) <- (if !writes = 0 then -1 else !mx)
-  done;
-  (sums, !ilo, !ihi)
-
 let encode_columnar ?(meta = "") t =
   Obs_span.with_span "codec.encode_columnar" @@ fun () ->
   let count = t.count in
@@ -615,28 +589,30 @@ let encode_columnar ?(meta = "") t =
   let objs_blob = encode_obj_table t.objs in
   let objs_len = String.length objs_blob in
   let meta_len = String.length meta in
-  let sums, install_lo, install_hi = compute_summaries t in
-  let nblocks = Array.length sums / 4 in
+  let sums = summaries t in
+  let install_lo, install_hi = install_range t in
+  let nsums = Bigarray.Array1.dim sums in
   let data_off = align8 (columnar_header_len + meta_len + objs_len) in
-  let body_len = data_off + ((Array.length sums + (4 * count)) * 8) in
+  let body_len = data_off + ((nsums + (4 * count)) * 8) in
   let buf = Bytes.make (body_len + columnar_trailer_len) '\x00' in
   Bytes.blit_string columnar_magic 0 buf 0 8;
   let set_word pos v = Bytes.set_int64_le buf pos (Int64.of_int v) in
   List.iteri
     (fun i v -> set_word (8 + (8 * i)) v)
-    [ count; nobjs; meta_len; objs_len; columnar_block_events; nblocks;
+    [ count; nobjs; meta_len; objs_len; columnar_block_events; nsums / 4;
       install_lo; install_hi ];
   Bytes.blit_string meta 0 buf columnar_header_len meta_len;
   Bytes.blit_string objs_blob 0 buf (columnar_header_len + meta_len) objs_len;
-  Array.iteri (fun i v -> set_word (data_off + (8 * i)) v) sums;
-  let cols_off = data_off + (Array.length sums * 8) in
-  for j = 0 to 3 do
-    let get = column_getter t j in
-    let base = cols_off + (j * count * 8) in
-    for i = 0 to count - 1 do
-      Bytes.set_int64_le buf (base + (8 * i)) (Int64.of_int (get i))
+  let put_column pos (c : int_column) =
+    for i = 0 to Bigarray.Array1.dim c - 1 do
+      set_word (pos + (8 * i)) (Bigarray.Array1.unsafe_get c i)
     done
-  done;
+  in
+  put_column data_off sums;
+  let cols_off = data_off + (nsums * 8) in
+  List.iteri
+    (fun j c -> put_column (cols_off + (j * count * 8)) c)
+    [ t.w0; t.lo; t.hi; t.pc ];
   let body = Bytes.unsafe_to_string buf in
   Bytes.blit_string columnar_trailer_magic 0 buf body_len 4;
   Bytes.set_int64_le buf (body_len + 4)
@@ -700,12 +676,33 @@ let parse_columnar_header ~file_len first_bytes =
     h_install_lo; h_install_hi; h_data_off; h_body_len;
   }
 
-(* A write's word is exactly its tag (it names no object); an install's
-   or remove's is [id lsl 2 lor tag] with [id < nobjs]. Anything else —
-   a bad tag or id, or a write word with upper bits set — is damage. *)
-let check_w0 ~nobjs w0 =
-  if w0 <> tag_write && (w0 land 2 <> 0 || w0 lsr 2 >= nobjs) then
-    raise (Malformed "bad event word in columnar trace")
+(* The one validation pass over the w0 column, shared by the full
+   decoder and the mapped load. A write's word is exactly its tag (it
+   names no object); an install's or remove's is [id lsl 2 lor tag]
+   with [id < nobjs]; anything else is damage. Tags and object ids are
+   checked up front (they index OCaml arrays later), and each block's
+   install/remove and write counts are compared with its summary, which
+   block skipping trusts. On a mapping it also faults in the pages of
+   the hottest column. The lo/hi/pc columns are plain integers: any
+   value is safe, and only the CRC covers them. Returns the trace's
+   write count. *)
+let check_columns ~nobjs ~count (w0s : int_column) (s : int_column) =
+  let total = ref 0 in
+  for b = 0 to (Bigarray.Array1.dim s / 4) - 1 do
+    let first = b * columnar_block_events in
+    let stop = min count (first + columnar_block_events) in
+    let writes = ref 0 in
+    for i = first to stop - 1 do
+      let w0 = Bigarray.Array1.unsafe_get w0s i in
+      if w0 = tag_write then incr writes
+      else if w0 land 2 <> 0 || w0 lsr 2 >= nobjs then
+        raise (Malformed "bad event word in columnar trace")
+    done;
+    if s.{(4 * b) + 1} <> !writes || s.{4 * b} <> stop - first - !writes then
+      raise (Malformed "columnar block summary mismatch");
+    total := !total + !writes
+  done;
+  !total
 
 let decode_columnar s =
   Obs_span.with_span "codec.decode_columnar" @@ fun () ->
@@ -726,34 +723,29 @@ let decode_columnar s =
         ~pos:(columnar_header_len + h.h_meta_len)
         ~objs_end:(columnar_header_len + h.h_meta_len + h.h_objs_len)
     in
-    let sums_off = h.h_data_off in
-    let cols_off = sums_off + (4 * h.h_nblocks * 8) in
-    let data = Array.make (h.h_count * stride) 0 in
-    for j = 0 to 3 do
-      let base = cols_off + (j * h.h_count * 8) in
-      for i = 0 to h.h_count - 1 do
-        data.((i * stride) + j) <-
-          Int64.to_int (String.get_int64_le s (base + (8 * i)))
-      done
-    done;
-    let writes = ref 0 in
-    for i = 0 to h.h_count - 1 do
-      let w0 = data.(i * stride) in
-      check_w0 ~nobjs:h.h_nobjs w0;
-      if w0 = tag_write then incr writes
-    done;
-    let t = { storage = Heap data; count = h.h_count; writes = !writes; objs } in
+    let read pos n =
+      let c = column n in
+      for i = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set c i
+          (Int64.to_int (String.get_int64_le s (pos + (8 * i))))
+      done;
+      c
+    in
+    let count = h.h_count and nsums = 4 * h.h_nblocks in
+    let file_sums = read h.h_data_off nsums in
+    let col j = read (h.h_data_off + ((nsums + (j * count)) * 8)) count in
+    let w0 = col 0 and lo = col 1 and hi = col 2 and pc = col 3 in
+    let writes = check_columns ~nobjs:h.h_nobjs ~count w0 file_sums in
+    let t = make ~w0 ~lo ~hi ~pc ~count ~writes ~objs ~mapped:false () in
     (* The summaries drive block skipping; a mismatch would silently
        change which events replay visits, so they are re-derived and
        compared, not trusted. *)
-    let sums, install_lo, install_hi = compute_summaries t in
-    if install_lo <> h.h_install_lo || install_hi <> h.h_install_hi then
+    let sums = summaries t in
+    if install_range t <> (h.h_install_lo, h.h_install_hi) then
       fail "columnar install bounds mismatch";
-    Array.iteri
-      (fun i v ->
-        if Int64.to_int (String.get_int64_le s (sums_off + (8 * i))) <> v then
-          fail "columnar block summary mismatch")
-      sums;
+    for i = 0 to nsums - 1 do
+      if sums.{i} <> file_sums.{i} then fail "columnar block summary mismatch"
+    done;
     Ok (t, meta)
   with
   | result -> result
@@ -770,30 +762,6 @@ let really_read fd buf =
      done
    with Unix.Unix_error _ -> raise (Malformed "unreadable columnar trace"));
   Bytes.unsafe_to_string buf
-
-(* The mapped load's one pass over the w0 column. Tags and object ids
-   are checked up front (they index OCaml arrays later), and each
-   block's install/remove and write counts are compared with its
-   summary, which block skipping trusts. It also faults in the pages of
-   the hottest column. The lo/hi/pc columns are plain integers: any
-   value is safe, and only the CRC covers them. Returns the trace's
-   write count. *)
-let check_mapped h m =
-  let nobjs = h.h_nobjs and s = m.m_summaries in
-  let total = ref 0 in
-  for b = 0 to h.h_nblocks - 1 do
-    let first = b * h.h_block_events in
-    let stop = min h.h_count (first + h.h_block_events) in
-    let writes = ref 0 in
-    for i = first to stop - 1 do
-      let w0 = Bigarray.Array1.unsafe_get m.m_w0 i in
-      if w0 = tag_write then incr writes else check_w0 ~nobjs w0
-    done;
-    if s.{(4 * b) + 1} <> !writes || s.{4 * b} <> stop - first - !writes then
-      raise (Malformed "columnar block summary mismatch");
-    total := !total + !writes
-  done;
-  !total
 
 let map_columnar path =
   Obs_span.with_span "codec.map" @@ fun () ->
@@ -824,30 +792,25 @@ let map_columnar path =
     if String.sub trailer 0 4 <> columnar_trailer_magic
        || String.get_int32_le trailer 8 <> 0l
     then raise (Malformed "missing columnar checksum trailer");
-    let nsums = 4 * h.h_nblocks in
-    let dims = nsums + (stride * h.h_count) in
+    let count = h.h_count and nsums = 4 * h.h_nblocks in
+    let dims = nsums + (stride * count) in
     let arr =
-      if dims = 0 then Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
+      if dims = 0 then column 0
       else
         Bigarray.array1_of_genarray
           (Unix.map_file fd ~pos:(Int64.of_int h.h_data_off) Bigarray.int
              Bigarray.c_layout false [| dims |])
     in
     let sub pos len = Bigarray.Array1.sub arr pos len in
-    let m =
-      {
-        m_summaries = sub 0 nsums;
-        m_w0 = sub nsums h.h_count;
-        m_lo = sub (nsums + h.h_count) h.h_count;
-        m_hi = sub (nsums + (2 * h.h_count)) h.h_count;
-        m_pc = sub (nsums + (3 * h.h_count)) h.h_count;
-        m_block_events = h.h_block_events;
-        m_install = Atomic.make None;
-      }
-    in
-    let writes = check_mapped h m in
+    let sums = sub 0 nsums in
+    let col j = sub (nsums + (j * count)) count in
+    let w0 = col 0 in
+    let writes = check_columns ~nobjs:h.h_nobjs ~count w0 sums in
     Metrics.add m_mapped_bytes file_len;
-    Ok ({ storage = Mapped m; count = h.h_count; writes; objs }, meta)
+    Ok
+      ( make ~w0 ~lo:(col 1) ~hi:(col 2) ~pc:(col 3) ~count ~writes ~objs
+          ~mapped:true ~summaries:sums (),
+        meta )
   with
   | result -> result
   | exception Malformed msg -> Error msg

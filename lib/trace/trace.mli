@@ -11,9 +11,12 @@
     from system calls, the allocator, and implicit frame bookkeeping are
     absent by construction (§6).
 
-    Traces can hold millions of events, so they are stored packed (four
-    integers per event, object descriptors interned in a side table); use
-    {!iter_raw} for throughput-critical consumers. *)
+    Traces can hold millions of events, so every trace has one layout,
+    whether recorded, decoded or mapped: EBPT3's four integer columns
+    (tagged object word, lo, hi, pc) outside the OCaml heap, object
+    descriptors interned in a side table, and per-block summaries that
+    {!iter_raw_skipping} uses. Use {!iter_raw} for throughput-critical
+    consumers. *)
 
 type event =
   | Install of { obj : Object_desc.t; range : Ebp_util.Interval.t }
@@ -30,8 +33,8 @@ module Builder : sig
   val create : ?hint:int -> unit -> t
   (** [hint] is the expected event count (default 1024): a builder sized
       to its workload never reallocates, and {!finish} can hand over its
-      buffer without copying. A wrong hint only costs the usual doubling
-      or one final copy. *)
+      columns without copying. A wrong hint only costs the usual
+      doubling or one final copy. *)
 
   val add_install : t -> Object_desc.t -> Ebp_util.Interval.t -> unit
   val add_remove : t -> Object_desc.t -> Ebp_util.Interval.t -> unit
@@ -63,7 +66,7 @@ module Builder : sig
       adders). *)
 
   val finish : t -> trace
-  (** Freeze the builder into a trace. When the buffer is exactly full
+  (** Freeze the builder into a trace. When the columns are exactly full
       (precise [hint]), ownership transfers without a copy — do not add
       events to a finished builder. *)
 end
@@ -110,30 +113,32 @@ val iter_raw_skipping :
   skip:(min_lo:int -> max_hi:int -> bool) ->
   on_skip:(writes:int -> unit) ->
   (tag:int -> obj:int -> lo:int -> hi:int -> pc:int -> unit) -> unit
-(** {!iter_raw}, except that on a mapped trace (see {!map_columnar}) a
-    block of events containing only writes may be skipped wholesale:
-    when its summary shows no install/remove events and
-    [skip ~min_lo ~max_hi] returns [true] for the bounds of its write
-    ranges, [on_skip ~writes] is called with the block's write count
-    instead of visiting the events. Consumers that only need write
+(** {!iter_raw}, except that a 4096-event block containing only writes
+    may be skipped wholesale: when its summary shows no install/remove
+    events and [skip ~min_lo ~max_hi] returns [true] for the bounds of
+    its write ranges, [on_skip ~writes] is called with the block's write
+    count instead of visiting the events. Consumers that only need write
     {e counts} from regions provably outside every monitorable range
-    (the scan engine) go several times faster on sparse traces. On heap
-    traces this is exactly [iter_raw]. *)
+    (the scan engine) go several times faster on sparse traces. Every
+    trace skips alike: a mapped trace reads its file's summaries, a
+    decoded one the summaries it checked, and a built one derives them
+    on first use (one pass over the events, cached). *)
 
 val install_bounds : t -> (int * int) option
 (** [Some (lo, hi)] covering every install/remove range in the trace —
     the address space outside it can never produce a session hit or page
-    touch. Available only on mapped traces, where it is derived from the
-    install/remove events on first use and cached (the EBPT3 header's
-    copy is checked by {!decode_columnar}, never trusted); [None] on heap
-    traces or when the trace installs nothing. *)
+    touch — or [None] when the trace installs nothing. Derived from the
+    install/remove events on first use and cached, on every trace: the
+    EBPT3 header's copy is checked by {!decode_columnar}, never trusted.
+    *)
 
 val is_mapped : t -> bool
-(** [true] when the trace's columns live in an mmap'd file rather than on
-    the OCaml heap. Mapped traces are immutable, safe to share read-only
-    across domains, and remain valid after the backing file is unlinked
-    (the mapping holds the inode); the mapping is released when the trace
-    is garbage collected. *)
+(** [true] when the trace's columns are an mmap'd file's pages rather
+    than memory the process allocated; the layout and every accessor are
+    the same either way. Mapped traces are immutable, safe to share
+    read-only across domains, and remain valid after the backing file is
+    unlinked (the mapping holds the inode); the mapping is released when
+    the trace is garbage collected. *)
 
 val object_count : t -> int
 val object_of_id : t -> int -> Object_desc.t
@@ -156,7 +161,7 @@ val pp_stats : Format.formatter -> stats -> unit
 val equal : t -> t -> bool
 (** Structural equality: the same event count, the same object table
     (by {!Object_desc.equal}), and every event's fields as {!iter_raw}
-    presents them, whatever the storage. The reference the codecs, the
+    presents them, mapped or not. The reference the codecs, the
     streaming recorder and the cache are checked against. *)
 
 (** {2 Serialization} *)
@@ -169,10 +174,10 @@ val to_text : t -> string
 
 (** {2 EBPT3 — the zero-copy columnar layout}
 
-    EBPT3 stores the four event columns as raw 8-byte-aligned
+    EBPT3 stores the four event columns of {!t} as raw 8-byte-aligned
     little-endian words so a warm load is a single [mmap]: no per-event
-    decode, no heap allocation proportional to the trace, one physical
-    copy shared by every domain and process that maps the file. Files are
+    decode, no allocation proportional to the trace, one physical copy
+    shared by every domain and process that maps the file. Files are
     self-sealed ("EBPZ" + CRC-32 trailer) and carry per-block min/max
     summaries that {!iter_raw_skipping} turns into block skipping. An
     EBPT3 file is the whole of a {!Trace_cache} trace entry. The full
@@ -193,7 +198,9 @@ val decode_columnar : string -> (t * string, string) result
 (** Fully-checked inverse of {!encode_columnar}: verifies the CRC, every
     header field against the file length, object descriptors, event tags
     and ids, and that the block summaries match the events. Returns a
-    heap trace plus the embedded [meta]. This is the verification path
+    trace whose columns are copied out of the string (not mapped), with
+    the summaries it checked, plus the embedded [meta]. This is the
+    verification path
     ([ebp cache verify], cache lookups under fault injection, the
     fuzzer's columnar oracle). *)
 

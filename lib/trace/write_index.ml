@@ -4,22 +4,7 @@
    searches instead of a scan. See the .mli for the shape and
    docs/PARALLELISM.md for how it is shared across domains. *)
 
-(* --- small growable int vector (build-time only) --- *)
-
-module Vec = struct
-  type t = { mutable data : int array; mutable len : int }
-
-  let create () = { data = Array.make 8 0; len = 0 }
-
-  let push v x =
-    if v.len = Array.length v.data then begin
-      let bigger = Array.make (2 * v.len) 0 in
-      Array.blit v.data 0 bigger 0 v.len;
-      v.data <- bigger
-    end;
-    v.data.(v.len) <- x;
-    v.len <- v.len + 1
-end
+module Vec = Ebp_util.Int_vec
 
 (* --- posting lists, CSR form --- *)
 
@@ -194,18 +179,13 @@ let positions p key ~after ~before =
 module Pos_set = struct
   let empty = [||]
 
+  (* The slices are sorted runs: merge them, then drop the duplicates
+     a multi-word write leaves. *)
   let union ls =
-    let total = List.fold_left (fun acc l -> acc + Array.length l) 0 ls in
+    let buf = Vec.merge_sorted ls in
+    let total = Array.length buf in
     if total = 0 then empty
     else begin
-      let buf = Array.make total 0 in
-      let dst = ref 0 in
-      List.iter
-        (fun l ->
-          Array.blit l 0 buf !dst (Array.length l);
-          dst := !dst + Array.length l)
-        ls;
-      Array.sort Int.compare buf;
       let w = ref 1 in
       for r = 1 to total - 1 do
         if buf.(r) <> buf.(!w - 1) then begin
@@ -213,7 +193,7 @@ module Pos_set = struct
           incr w
         end
       done;
-      Array.sub buf 0 !w
+      if !w = total then buf else Array.sub buf 0 !w
     end
 
   let inter a b =

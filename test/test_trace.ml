@@ -507,6 +507,129 @@ let test_columnar_mapped_skipping () =
             (fun ~tag:_ ~obj:_ ~lo:_ ~hi:_ ~pc:_ -> incr n);
           Alcotest.(check int) "all events" (Trace.length m) !n)
 
+(* --- one layout: every form of a trace answers alike --- *)
+
+(* A trace of [blocks] whole 4096-event blocks plus a partial one, from
+   [seed]. Block 0 installs every object, then mixes installs, removes
+   and writes; block 1 holds only writes far outside the install bounds,
+   block 2 only writes inside them; later blocks are any of the three. *)
+let layout_objects =
+  [|
+    (Object_desc.Global { var = "a" }, iv 0x1000 0x1003);
+    (Object_desc.Global { var = "wide" }, iv 0x2000 0x20ff);
+    (Object_desc.Local { func = "f"; var = "x"; inst = 1 }, iv 0x8000 0x8003);
+    (Object_desc.Heap { context = [ "main" ]; seq = 1 }, iv 0x8f00 0x8fff);
+  |]
+
+let layout_trace ~blocks seed =
+  let rng = Random.State.make [| seed |] in
+  let int n = Random.State.int rng n in
+  let b = Trace.Builder.create () in
+  let write_in () =
+    let lo = 0x1000 + (4 * int 0x1f00) in
+    Trace.Builder.add_write_raw b ~lo ~hi:(lo + 3) ~pc:(int 500)
+  in
+  let write_out () =
+    let lo = 0x1_0000_0000 + (4 * int 0x10000) in
+    Trace.Builder.add_write_raw b ~lo ~hi:(lo + (4 * int 4) + 3) ~pc:(int 500)
+  in
+  let tail = int 4096 in
+  for blk = 0 to blocks do
+    let kind = match blk with 0 | 1 | 2 -> blk | _ -> int 3 in
+    let n = if blk = blocks then tail else 4096 in
+    for i = 0 to n - 1 do
+      match kind with
+      | 1 -> write_out ()
+      | 2 -> write_in ()
+      | _ when blk = 0 && i < Array.length layout_objects ->
+          let obj, range = layout_objects.(i) in
+          Trace.Builder.add_install b obj range
+      | _ -> (
+          let obj, range = layout_objects.(int (Array.length layout_objects)) in
+          match int 6 with
+          | 0 -> Trace.Builder.add_install b obj range
+          | 1 -> Trace.Builder.add_remove b obj range
+          | 2 -> write_out ()
+          | _ -> write_in ())
+    done
+  done;
+  Trace.Builder.finish b
+
+let prop_forms_agree =
+  QCheck2.Test.make ~name:"built, decoded, streamed and mapped traces agree"
+    ~count:12
+    QCheck2.Gen.(triple (int_range 3 5) nat nat)
+    (fun (blocks, seed, salt) ->
+      (* Two builds of one trace: [built] is never encoded, so it derives
+         its summaries on its own, as a fresh recording does. *)
+      let t = layout_trace ~blocks seed in
+      let built = layout_trace ~blocks seed in
+      let decoded =
+        match Trace.decode_columnar (Trace.encode_columnar t) with
+        | Ok (d, _) -> d
+        | Error e -> Alcotest.failf "decode: %s" e
+      in
+      let streamed =
+        match Stream.read (stream_of t) with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "stream read: %s" e
+      in
+      with_columnar_file t @@ fun path ->
+      let mapped =
+        match Trace.map_columnar path with
+        | Ok (m, _) -> m
+        | Error e -> Alcotest.failf "map: %s" e
+      in
+      let forms = [ built; decoded; streamed; mapped ] in
+      let alike name f =
+        let want = f mapped in
+        List.iter
+          (fun form ->
+            if f form <> want then Alcotest.failf "%s differs (seed %d)" name seed)
+          forms
+      in
+      let n = Trace.length t in
+      let row ~tag ~obj ~lo ~hi ~pc = (tag, obj, lo, hi, pc) in
+      let collect iter =
+        let acc = ref [] in
+        iter (fun ~tag ~obj ~lo ~hi ~pc -> acc := row ~tag ~obj ~lo ~hi ~pc :: !acc);
+        List.rev !acc
+      in
+      alike "get_raw" (fun f -> List.init n (fun i -> Trace.get_raw f i row));
+      let rng = Random.State.make [| salt |] in
+      for _ = 1 to 8 do
+        let a = Random.State.int rng (n + 1) and b = Random.State.int rng (n + 1) in
+        let start = min a b and stop = max a b in
+        alike "iter_raw_range" (fun f ->
+            collect (Trace.iter_raw_range f ~start ~stop));
+        alike "write_positions" (fun f -> Trace.write_positions f ~start ~stop)
+      done;
+      alike "install_bounds" Trace.install_bounds;
+      let ilo, ihi =
+        match Trace.install_bounds built with
+        | Some bounds -> bounds
+        | None -> Alcotest.fail "a built trace has no install bounds"
+      in
+      let skipping skip f =
+        let skipped = ref [] in
+        let visited =
+          collect
+            (Trace.iter_raw_skipping f ~skip ~on_skip:(fun ~writes ->
+                 skipped := writes :: !skipped))
+        in
+        (visited, List.rev !skipped)
+      in
+      let outside ~min_lo ~max_hi = max_hi < ilo || min_lo > ihi in
+      let coin ~min_lo ~max_hi = Hashtbl.hash (salt, min_lo, max_hi) land 1 = 0 in
+      List.iter
+        (fun skip -> alike "iter_raw_skipping" (skipping skip))
+        [ outside; coin; (fun ~min_lo:_ ~max_hi:_ -> true) ];
+      (* Block 1 lies outside the bounds and block 2 inside: the built
+         form skips the one and visits the other. *)
+      let visited, skipped = skipping outside built in
+      skipped <> [] && List.length visited < n
+      && List.length visited >= (2 * 4096))
+
 let test_columnar_byte_counters () =
   let module Metrics = Ebp_obs.Metrics in
   Metrics.reset ();
@@ -728,6 +851,7 @@ let () =
             test_columnar_map_rejects_damage;
           Alcotest.test_case "mapped block skipping" `Quick
             test_columnar_mapped_skipping;
+          QCheck_alcotest.to_alcotest prop_forms_agree;
           Alcotest.test_case "byte counters" `Quick test_columnar_byte_counters;
         ] );
       ( "recorder",
