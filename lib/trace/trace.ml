@@ -613,10 +613,9 @@ let encode_columnar ?(meta = "") t =
   List.iteri
     (fun j c -> put_column (cols_off + (j * count * 8)) c)
     [ t.w0; t.lo; t.hi; t.pc ];
-  let body = Bytes.unsafe_to_string buf in
   Bytes.blit_string columnar_trailer_magic 0 buf body_len 4;
   Bytes.set_int64_le buf (body_len + 4)
-    (Int64.of_int (Ebp_util.Crc32.sub body ~pos:0 ~len:body_len));
+    (Int64.of_int (Ebp_util.Crc32.sub_bytes buf ~pos:0 ~len:body_len));
   Metrics.add m_columnar_out (Bytes.length buf);
   Bytes.unsafe_to_string buf
 

@@ -102,13 +102,18 @@ let rec mkdir_p dir =
 
 (* --- sealing --- *)
 
-let seal body =
-  let t = Bytes.create trailer_len in
-  Bytes.blit_string trailer_magic 0 t 0 4;
-  Bytes.set_int64_le t 4 (Int64.of_int (Crc32.string body));
-  body ^ Bytes.unsafe_to_string t
+(* Write the trailer into the last [trailer_len] bytes of [buf], sealing
+   the body before them, and hand the buffer over as the entry. *)
+let seal buf =
+  let body_len = Bytes.length buf - trailer_len in
+  Bytes.blit_string trailer_magic 0 buf body_len 4;
+  Bytes.set_int64_le buf (body_len + 4)
+    (Int64.of_int (Crc32.sub_bytes buf ~pos:0 ~len:body_len));
+  Bytes.unsafe_to_string buf
 
-let unseal data =
+(* Check the trailer and CRC in place: [Ok n] means the body is the
+   entry's first [n] bytes. *)
+let check_seal data =
   let n = String.length data in
   if n < trailer_len then Error "entry shorter than its checksum trailer"
   else if String.sub data (n - trailer_len) 4 <> trailer_magic then
@@ -120,7 +125,7 @@ let unseal data =
     let stored = String.get_int64_le data (n - 8) in
     if stored <> Int64.of_int (Crc32.sub data ~pos:0 ~len:body_len) then
       Error "checksum mismatch"
-    else Ok (String.sub data 0 body_len)
+    else Ok body_len
 
 (* --- quarantine --- *)
 
@@ -223,7 +228,7 @@ let store_index ~dir ~key ~page_sizes index =
   timed m_store_ns @@ fun () ->
   store_file ~dir
     ~path:(index_path ~dir ~key ~page_sizes)
-    (seal (Write_index.encode index))
+    (seal (Write_index.encode_padded index ~room:trailer_len))
 
 (* Checkpoint chains are keyed like indices: [<key>.<ckey>.ckpt], with
    [ckey] rehashing the trace key and the checkpoint codec version, and
@@ -243,7 +248,9 @@ let checkpoint_cached ~dir ~key = Sys.file_exists (checkpoint_path ~dir ~key)
 let store_checkpoints ~dir ~key chain =
   timed m_store_ns @@ fun () ->
   store_file ~dir ~path:(checkpoint_path ~dir ~key)
-    (seal (Checkpoint.encode chain))
+    (seal
+       (Bytes.extend (Bytes.unsafe_of_string (Checkpoint.encode chain)) 0
+          trailer_len))
 
 (* --- lookups --- *)
 
@@ -271,8 +278,14 @@ let load_entry ~dir ~file check =
               quarantine ~dir ~file ~reason;
               None))
 
-(* Sealed entries: the trailer is verified before [decode] sees a byte. *)
-let sealed decode data = Result.bind (unseal data) decode
+(* Sealed entries: the trailer is verified before [decode] sees a byte,
+   and [decode data ~len] reads the body in place. *)
+let sealed decode data = Result.bind (check_seal data) (fun len -> decode data ~len)
+
+let sealed_index = sealed Write_index.decode_prefix
+
+let sealed_checkpoints =
+  sealed (fun data ~len -> Checkpoint.decode (String.sub data 0 len))
 
 let check_trace data = Result.map ignore (Trace.decode_columnar data)
 
@@ -303,14 +316,14 @@ let lookup ~dir ~key =
 let lookup_index ~dir ~key ~page_sizes =
   timed m_lookup_ns @@ fun () ->
   let file = Filename.basename (index_path ~dir ~key ~page_sizes) in
-  let found = load_entry ~dir ~file (sealed Write_index.decode) in
+  let found = load_entry ~dir ~file sealed_index in
   Metrics.incr (match found with Some _ -> m_index_hits | None -> m_index_misses);
   found
 
 let lookup_checkpoints ~dir ~key =
   timed m_lookup_ns @@ fun () ->
   let file = Filename.basename (checkpoint_path ~dir ~key) in
-  let found = load_entry ~dir ~file (sealed Checkpoint.decode) in
+  let found = load_entry ~dir ~file sealed_checkpoints in
   Metrics.incr (match found with Some _ -> m_ckpt_hits | None -> m_ckpt_misses);
   found
 
@@ -505,10 +518,9 @@ let verify ?quarantine:(quarantine_corrupt = true) ~dir () =
     (fun e ->
       match e.entry_kind with
       | Trace_entry -> scan e check_trace
-      | Index_entry ->
-          scan e (sealed (fun body -> Result.map ignore (Write_index.decode body)))
+      | Index_entry -> scan e (fun data -> Result.map ignore (sealed_index data))
       | Checkpoint_entry ->
-          scan e (sealed (fun body -> Result.map ignore (Checkpoint.decode body)))
+          scan e (fun data -> Result.map ignore (sealed_checkpoints data))
       | Tmp_entry -> incr tmp_litter
       | Stale_entry | Corrupt_entry -> ())
     (entries ~dir);

@@ -9,50 +9,9 @@ module Vec = Ebp_util.Int_vec
 (* --- posting lists, CSR form --- *)
 
 (* [keys] sorted distinct; the events of key [keys.(i)] are
-   [data.(offs.(i)) .. data.(offs.(i+1)) - 1]), sorted ascending (they are
-   appended in trace order at build time). *)
+   [data.(offs.(i)) .. data.(offs.(i+1)) - 1]), sorted ascending (the
+   build fills each key's run in trace order). *)
 type posting = { keys : int array; offs : int array; data : int array }
-
-(* Merge per-chunk tables into one posting. The chunks cover disjoint,
-   ascending event ranges, so concatenating a key's per-chunk runs in
-   chunk order yields the same ascending event list a single-pass build
-   appends — the serial build is just the one-chunk case of this
-   function, which is what makes parallel and serial indexes structurally
-   identical (and [equal] is structural). *)
-let posting_of_tables (tbls : (int, Vec.t) Hashtbl.t list) =
-  let keyset = Hashtbl.create 4096 in
-  List.iter
-    (fun tbl -> Hashtbl.iter (fun k _ -> Hashtbl.replace keyset k ()) tbl)
-    tbls;
-  let keys = Array.of_seq (Hashtbl.to_seq_keys keyset) in
-  Array.sort Int.compare keys;
-  let nkeys = Array.length keys in
-  let offs = Array.make (nkeys + 1) 0 in
-  for i = 0 to nkeys - 1 do
-    let len =
-      List.fold_left
-        (fun acc tbl ->
-          match Hashtbl.find_opt tbl keys.(i) with
-          | Some v -> acc + v.Vec.len
-          | None -> acc)
-        0 tbls
-    in
-    offs.(i + 1) <- offs.(i) + len
-  done;
-  let data = Array.make offs.(nkeys) 0 in
-  Array.iteri
-    (fun i key ->
-      let dst = ref offs.(i) in
-      List.iter
-        (fun tbl ->
-          match Hashtbl.find_opt tbl key with
-          | Some v ->
-              Array.blit v.Vec.data 0 data !dst v.Vec.len;
-              dst := !dst + v.Vec.len
-          | None -> ())
-        tbls)
-    keys;
-  { keys; offs; data }
 
 let find_key p key =
   let rec go lo hi =
@@ -280,118 +239,270 @@ let log2_exact n =
     invalid_arg "Write_index: page size must be a positive power of two"
   else go 0 n
 
-(* Per-chunk build state: the single-pass tables of the original serial
-   build, restricted to one contiguous event range. Event positions are
-   global trace positions, so chunks can be merged by concatenation. *)
-type chunk = {
-  c_writes : int;
-  c_word : (int, Vec.t) Hashtbl.t;
-  c_word_span : (int, Vec.t) Hashtbl.t;
-  c_wide : Vec.t;
-  c_pc : (int, Vec.t) Hashtbl.t;
-  c_objs : Vec.t array;
-  c_pages : (int * int * (int, Vec.t) Hashtbl.t * (int, Vec.t) Hashtbl.t * Vec.t) list;
+(* --- the counting build ---
+
+   A chunk of events is built straight into CSR form in two passes. The
+   first counts each key's writes; [layout] then sorts the keys, lays out
+   [offs] and turns each count into its key's cursor in [data]; the
+   second writes each event at its key's cursor, so every key's run fills
+   in event order and comes out ascending. Keys are arbitrary ints
+   (addresses, page numbers and pcs from any trace), so their dense ids
+   come from an open-addressed table of whole keys: linear probing,
+   Fibonacci hashing, nothing packed into bit fields. *)
+
+type acc = {
+  mutable slot_key : int array;
+  (* -1 marks a free slot. While counting, a key's count; after
+     [layout], its cursor into [out.data]. *)
+  mutable slot_n : int array;
+  mutable shift : int; (* 63 - log2 (slot count) *)
+  mutable used : int;
+  mutable out : posting;
 }
 
-(* The chunk pass over an arbitrary event source: [iter f] must call [f]
-   once per event, in order. [start] is the global position of the first
-   event, so chunk positions always live in trace coordinates and chunks
-   merge by concatenation. [nobjs] bounds the object ids the source may
-   mention — for a full-trace chunk that is [Trace.object_count]; for an
-   incrementally sealed block it is the objects registered so far. *)
-let build_chunk_iter ~page_sizes ~nobjs ~start iter =
-  let obj_vecs = Array.init nobjs (fun _ -> Vec.create ()) in
-  let word_tbl : (int, Vec.t) Hashtbl.t = Hashtbl.create 4096 in
-  let word_span_tbl : (int, Vec.t) Hashtbl.t = Hashtbl.create 64 in
-  let pc_tbl : (int, Vec.t) Hashtbl.t = Hashtbl.create 1024 in
-  let wide_words = Vec.create () in
-  let push tbl key x =
-    let v =
-      match Hashtbl.find_opt tbl key with
-      | Some v -> v
-      | None ->
-          let v = Vec.create () in
-          Hashtbl.add tbl key v;
-          v
-    in
-    Vec.push v x
-  in
-  let page_builders =
-    List.map
-      (fun page_size ->
-        ( page_size,
-          log2_exact page_size,
-          (Hashtbl.create 1024 : (int, Vec.t) Hashtbl.t),
-          (Hashtbl.create 64 : (int, Vec.t) Hashtbl.t),
-          Vec.create () ))
-      page_sizes
-  in
-  let total_writes = ref 0 in
-  let pos = ref start in
-  iter (fun ~tag ~obj ~lo ~hi ~pc ->
-      let t = !pos in
-      incr pos;
-      if tag <= 1 then begin
-        let v = obj_vecs.(obj) in
-        Vec.push v ((t lsl 1) lor tag);
-        Vec.push v lo;
-        Vec.push v hi
-      end
-      else begin
-        incr total_writes;
-        push pc_tbl pc t;
-        let fw = lo lsr 2 and lw = hi lsr 2 in
-        if lw - fw <= 1 then begin
-          push word_tbl fw t;
-          if lw <> fw then begin
-            push word_tbl lw t;
-            push word_span_tbl fw t
-          end
-        end
-        else begin
-          Vec.push wide_words t;
-          Vec.push wide_words fw;
-          Vec.push wide_words lw
-        end;
-        List.iter
-          (fun (_, shift, wtbl, stbl, wide) ->
-            let fp = lo lsr shift and lp = hi lsr shift in
-            push wtbl fp t;
-            if lp <> fp then begin
-              push wtbl lp t;
-              if lp = fp + 1 then push stbl fp t
-              else begin
-                Vec.push wide t;
-                Vec.push wide fp;
-                Vec.push wide lp
-              end
-            end)
-          page_builders
-      end);
+let acc () =
   {
-    c_writes = !total_writes;
-    c_word = word_tbl;
-    c_word_span = word_span_tbl;
-    c_wide = wide_words;
-    c_pc = pc_tbl;
-    c_objs = obj_vecs;
-    c_pages = page_builders;
+    slot_key = Array.make 64 0;
+    slot_n = Array.make 64 (-1);
+    shift = 57;
+    used = 0;
+    out = { keys = [||]; offs = [| 0 |]; data = [||] };
   }
 
-let build_chunk ~page_sizes trace ~start ~stop =
-  build_chunk_iter ~page_sizes ~nobjs:(Trace.object_count trace) ~start
-    (fun f -> Trace.iter_raw_range trace ~start ~stop f)
+(* The slot of [key], or the free slot where it belongs. *)
+let probe a key =
+  let mask = Array.length a.slot_key - 1 in
+  let s = ref ((key * 0x9E3779B97F4A7C1) lsr a.shift) in
+  while a.slot_n.(!s) >= 0 && a.slot_key.(!s) <> key do
+    s := (!s + 1) land mask
+  done;
+  !s
 
-let concat_vecs vecs =
-  let total = List.fold_left (fun acc v -> acc + v.Vec.len) 0 vecs in
-  let out = Array.make total 0 in
-  let dst = ref 0 in
+let rec count a key =
+  let s = probe a key in
+  if a.slot_n.(s) >= 0 then a.slot_n.(s) <- a.slot_n.(s) + 1
+  else if 2 * (a.used + 1) > Array.length a.slot_key then begin
+    grow a;
+    count a key
+  end
+  else begin
+    a.slot_key.(s) <- key;
+    a.slot_n.(s) <- 1;
+    a.used <- a.used + 1
+  end
+
+and grow a =
+  let keys = a.slot_key and ns = a.slot_n in
+  a.slot_key <- Array.make (2 * Array.length keys) 0;
+  a.slot_n <- Array.make (2 * Array.length keys) (-1);
+  a.shift <- a.shift - 1;
+  Array.iteri
+    (fun i n ->
+      if n >= 0 then begin
+        let s = probe a keys.(i) in
+        a.slot_key.(s) <- keys.(i);
+        a.slot_n.(s) <- n
+      end)
+    ns
+
+let layout a =
+  let keys = Array.make a.used 0 and j = ref 0 in
+  Array.iteri
+    (fun s n ->
+      if n >= 0 then begin
+        keys.(!j) <- a.slot_key.(s);
+        incr j
+      end)
+    a.slot_n;
+  Array.stable_sort Int.compare keys;
+  let offs = Array.make (a.used + 1) 0 in
+  Array.iteri
+    (fun r key ->
+      let s = probe a key in
+      offs.(r + 1) <- offs.(r) + a.slot_n.(s);
+      a.slot_n.(s) <- offs.(r))
+    keys;
+  a.out <- { keys; offs; data = Array.make offs.(a.used) 0 }
+
+let put a key t =
+  let s = probe a key in
+  let c = a.slot_n.(s) in
+  a.out.data.(c) <- t;
+  a.slot_n.(s) <- c + 1
+
+let touch ~fill a key t = if fill then put a key t else count a key
+
+let push_triple v a b c =
+  Vec.push v a;
+  Vec.push v b;
+  Vec.push v c
+
+(* The index over one contiguous event range, as a [t] in its own right:
+   [iter f] must call [f] once per event, in order, and is called twice
+   (count, then fill). [start] is the global position of the first event
+   and [stop] the position after the last, so positions are trace
+   positions and chunks merge by concatenation. [nobjs] bounds the object
+   ids the events may mention: [Trace.object_count] for a whole trace,
+   the objects registered so far for a sealed block. *)
+let build_chunk ~page_sizes ~nobjs ~start ~stop iter =
+  let shifts = Array.of_list (List.map log2_exact page_sizes) in
+  let npages = Array.length shifts in
+  let word = acc () and span = acc () and pcs = acc () in
+  let pw = Array.init npages (fun _ -> acc ()) in
+  let ps = Array.init npages (fun _ -> acc ()) in
+  let wide_words = Vec.create () in
+  let wide_pages = Array.init npages (fun _ -> Vec.create ()) in
+  let obj_offs = Array.make (nobjs + 1) 0 in
+  let obj_cur = ref [||] and obj_data = ref [||] and writes = ref 0 in
+  let pass ~fill =
+    let pos = ref start in
+    iter (fun ~tag ~obj ~lo ~hi ~pc ->
+        let t = !pos in
+        pos := t + 1;
+        if tag <= 1 then begin
+          if fill then begin
+            let k = !obj_cur.(obj) and d = !obj_data in
+            !obj_cur.(obj) <- k + 1;
+            d.(3 * k) <- (t lsl 1) lor tag;
+            d.((3 * k) + 1) <- lo;
+            d.((3 * k) + 2) <- hi
+          end
+          else obj_offs.(obj + 1) <- obj_offs.(obj + 1) + 1
+        end
+        else begin
+          if not fill then incr writes;
+          touch ~fill pcs pc t;
+          let fw = lo lsr 2 and lw = hi lsr 2 in
+          if lw - fw <= 1 then begin
+            touch ~fill word fw t;
+            if lw <> fw then begin
+              touch ~fill word lw t;
+              touch ~fill span fw t
+            end
+          end
+          else if fill then push_triple wide_words t fw lw;
+          for i = 0 to npages - 1 do
+            let fp = lo lsr shifts.(i) and lp = hi lsr shifts.(i) in
+            touch ~fill pw.(i) fp t;
+            if lp <> fp then begin
+              touch ~fill pw.(i) lp t;
+              if lp = fp + 1 then touch ~fill ps.(i) fp t
+              else if fill then push_triple wide_pages.(i) t fp lp
+            end
+          done
+        end)
+  in
+  pass ~fill:false;
+  for o = 1 to nobjs do
+    obj_offs.(o) <- obj_offs.(o) + obj_offs.(o - 1)
+  done;
+  obj_cur := Array.sub obj_offs 0 nobjs;
+  obj_data := Array.make (3 * obj_offs.(nobjs)) 0;
+  List.iter layout ([ word; span; pcs ] @ Array.to_list pw @ Array.to_list ps);
+  pass ~fill:true;
+  {
+    events = stop;
+    total_writes = !writes;
+    word_writes = word.out;
+    word_spans = span.out;
+    wide_words = Vec.to_array wide_words;
+    pc_writes = pcs.out;
+    obj_offs;
+    obj_data = !obj_data;
+    pages =
+      Array.init npages (fun i ->
+          {
+            page_size = List.nth page_sizes i;
+            page_shift = shifts.(i);
+            page_writes = pw.(i).out;
+            page_spans = ps.(i).out;
+            wide_pages = Vec.to_array wide_pages.(i);
+          });
+  }
+
+(* --- the merge ---
+
+   Chunks cover disjoint, ascending event ranges and are merged in order,
+   so concatenating a key's per-chunk runs yields the ascending list a
+   single pass writes: the pooled build, the serial build (one chunk, no
+   merge) and every incremental snapshot are structurally identical, and
+   [equal] is structural. *)
+
+(* [Array.blit] into an array in the major heap goes through the write
+   barrier element by element; int arrays need none. *)
+let blit_ints (src : int array) s (dst : int array) d len =
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (d + i) (Array.unsafe_get src (s + i))
+  done
+
+(* [concat_runs ~rows ~stride parts]: the CSR whose row [r] holds, in part
+   order, the row of each part that [rank] sends to [r]. A part is
+   [(offs, data, rank)]; its row [i] is [data]'s records [offs.(i) ..
+   offs.(i + 1) - 1], each [stride] ints wide. *)
+let concat_runs ~rows ~stride parts =
+  let offs = Array.make (rows + 1) 0 in
   List.iter
-    (fun v ->
-      Array.blit v.Vec.data 0 out !dst v.Vec.len;
-      dst := !dst + v.Vec.len)
-    vecs;
-  out
+    (fun (poffs, _, rank) ->
+      for i = 0 to Array.length poffs - 2 do
+        let r = rank i + 1 in
+        offs.(r) <- offs.(r) + poffs.(i + 1) - poffs.(i)
+      done)
+    parts;
+  for r = 1 to rows do
+    offs.(r) <- offs.(r) + offs.(r - 1)
+  done;
+  let data = Array.make (stride * offs.(rows)) 0 in
+  let cur = Array.sub offs 0 rows in
+  List.iter
+    (fun (poffs, pdata, rank) ->
+      for i = 0 to Array.length poffs - 2 do
+        let r = rank i and len = poffs.(i + 1) - poffs.(i) in
+        blit_ints pdata (stride * poffs.(i)) data (stride * cur.(r)) (stride * len);
+        cur.(r) <- cur.(r) + len
+      done)
+    parts;
+  (offs, data)
+
+let merge_postings ps =
+  let keys = Pos_set.union (List.map (fun p -> p.keys) ps) in
+  let n = Array.length keys in
+  let offs, data =
+    concat_runs ~rows:n ~stride:1
+      (List.map
+         (fun p -> (p.offs, p.data, Array.get (Array.map (lower_bound keys 0 n) p.keys)))
+         ps)
+  in
+  { keys; offs; data }
+
+let merge ~events ~nobjs = function
+  | [ c ] when c.events = events && Array.length c.obj_offs = nobjs + 1 -> c
+  | chunks ->
+      let postings f = merge_postings (List.map f chunks) in
+      let cat f = Array.concat (List.map f chunks) in
+      let obj_offs, obj_data =
+        concat_runs ~rows:nobjs ~stride:3
+          (List.map (fun c -> (c.obj_offs, c.obj_data, Fun.id)) chunks)
+      in
+      {
+        events;
+        total_writes = List.fold_left (fun n c -> n + c.total_writes) 0 chunks;
+        word_writes = postings (fun c -> c.word_writes);
+        word_spans = postings (fun c -> c.word_spans);
+        wide_words = cat (fun c -> c.wide_words);
+        pc_writes = postings (fun c -> c.pc_writes);
+        obj_offs;
+        obj_data;
+        pages =
+          Array.mapi
+            (fun i v ->
+              {
+                v with
+                page_writes = postings (fun c -> c.pages.(i).page_writes);
+                page_spans = postings (fun c -> c.pages.(i).page_spans);
+                wide_pages = cat (fun c -> c.pages.(i).wide_pages);
+              })
+            (List.hd chunks).pages;
+      }
 
 (* Chunks below this many events are not worth a pool round-trip. *)
 let parallel_threshold = 8192
@@ -399,83 +510,17 @@ let chunk_target = 4096
 
 let m_build_chunks = Ebp_obs.Metrics.counter "index.build.chunks"
 
-(* An object id beyond a chunk's vector array means the object was
-   registered after the chunk was sealed (incremental builds only): it
-   has no timeline entries in that chunk, so it reads as empty. For the
-   batch build every chunk is sized to the full object count and this
-   branch never fires. *)
-let empty_vec = { Vec.data = [||]; len = 0 }
-let chunk_obj c o = if o < Array.length c.c_objs then c.c_objs.(o) else empty_vec
-
-(* Merge chunks covering disjoint ascending event ranges, in order. The
-   serial build is the one-chunk case; incremental per-block builds reuse
-   exactly this merge, which is what makes the streaming index
-   structurally identical to the batch one. *)
-let merge_chunks ~events ~nobjs chunks =
-  let obj_offs = Array.make (nobjs + 1) 0 in
-  for o = 0 to nobjs - 1 do
-    obj_offs.(o + 1) <-
-      obj_offs.(o)
-      + List.fold_left (fun acc c -> acc + ((chunk_obj c o).Vec.len / 3)) 0 chunks
-  done;
-  let obj_data = Array.make (3 * obj_offs.(nobjs)) 0 in
-  for o = 0 to nobjs - 1 do
-    let dst = ref (3 * obj_offs.(o)) in
-    List.iter
-      (fun c ->
-        let v = chunk_obj c o in
-        Array.blit v.Vec.data 0 obj_data !dst v.Vec.len;
-        dst := !dst + v.Vec.len)
-      chunks
-  done;
-  {
-    events;
-    total_writes = List.fold_left (fun acc c -> acc + c.c_writes) 0 chunks;
-    word_writes = posting_of_tables (List.map (fun c -> c.c_word) chunks);
-    word_spans = posting_of_tables (List.map (fun c -> c.c_word_span) chunks);
-    wide_words = concat_vecs (List.map (fun c -> c.c_wide) chunks);
-    pc_writes = posting_of_tables (List.map (fun c -> c.c_pc) chunks);
-    obj_offs;
-    obj_data;
-    pages =
-      Array.of_list
-        (List.mapi
-           (fun i (page_size, page_shift, _, _, _) ->
-             {
-               page_size;
-               page_shift;
-               page_writes =
-                 posting_of_tables
-                   (List.map
-                      (fun c ->
-                        let _, _, wtbl, _, _ = List.nth c.c_pages i in
-                        wtbl)
-                      chunks);
-               page_spans =
-                 posting_of_tables
-                   (List.map
-                      (fun c ->
-                        let _, _, _, stbl, _ = List.nth c.c_pages i in
-                        stbl)
-                      chunks);
-               wide_pages =
-                 concat_vecs
-                   (List.map
-                      (fun c ->
-                        let _, _, _, _, wide = List.nth c.c_pages i in
-                        wide)
-                      chunks);
-             })
-           (List.hd chunks).c_pages);
-  }
-
 let build ?pool ~page_sizes trace =
   (* The whole build is one span: it is the warm-run cost the .widx cache
      exists to amortize, so its duration is worth a timeline entry. *)
   Ebp_obs.Span.with_span "index.build" @@ fun () ->
   let events = Trace.length trace in
   let nobjs = Trace.object_count trace in
-  let nchunks, chunks =
+  let chunk start stop =
+    build_chunk ~page_sizes ~nobjs ~start ~stop (fun f ->
+        Trace.iter_raw_range trace ~start ~stop f)
+  in
+  let chunks =
     match pool with
     | Some pool
       when Ebp_util.Domain_pool.domains pool > 1 && events >= parallel_threshold ->
@@ -484,30 +529,30 @@ let build ?pool ~page_sizes trace =
             (max 1 (events / chunk_target))
         in
         let bound i = events * i / n in
-        ( n,
-          Ebp_util.Domain_pool.map pool
-            (fun i ->
-              build_chunk ~page_sizes trace ~start:(bound i)
-                ~stop:(bound (i + 1)))
-            (List.init n Fun.id) )
-    | _ -> (1, [ build_chunk ~page_sizes trace ~start:0 ~stop:events ])
+        Ebp_util.Domain_pool.map pool
+          (fun i -> chunk (bound i) (bound (i + 1)))
+          (List.init n Fun.id)
+    | _ -> [ chunk 0 events ]
   in
-  Ebp_obs.Metrics.add m_build_chunks nchunks;
-  merge_chunks ~events ~nobjs chunks
+  Ebp_obs.Metrics.add m_build_chunks (List.length chunks);
+  merge ~events ~nobjs chunks
 
 (* --- incremental (streaming) builds ---
 
-   One chunk per sealed block, appended as the recording runs; a snapshot
-   merges whatever is sealed so far through the same [merge_chunks] the
-   batch build uses, so the snapshot over a prefix is [equal] to
-   [build] over that prefix trace. Peak state is the per-block tables —
-   O(block), not O(trace) — plus the sealed chunks themselves, which are
-   exactly the posting data the final index needs anyway. *)
+   One chunk per sealed block, appended as the recording runs. A snapshot
+   folds whatever is sealed so far into one chunk through the same
+   [merge] the batch build uses, so the snapshot over a prefix is [equal]
+   to [build] over that prefix trace; the fold replaces the chunks, so the
+   next snapshot merges only the blocks sealed since, and a snapshot with
+   no block since the last one is that same index. Peak state is the
+   folded index plus the blocks sealed since it — the posting data the
+   final index needs anyway — and one block's counting tables while it
+   seals. *)
 
 module Incremental = struct
   type builder = {
     page_sizes : int list;
-    mutable chunks_rev : chunk list;
+    mutable chunks_rev : t list;
     mutable ev_count : int;
     mutable nobjs : int;
     mutable degraded : bool;
@@ -543,7 +588,8 @@ module Incremental = struct
           Ebp_obs.Metrics.incr m_degraded
       | None ->
           let chunk =
-            build_chunk_iter ~page_sizes:b.page_sizes ~nobjs ~start iter
+            build_chunk ~page_sizes:b.page_sizes ~nobjs ~start
+              ~stop:b.ev_count iter
           in
           b.chunks_rev <- chunk :: b.chunks_rev;
           Ebp_obs.Metrics.incr m_blocks
@@ -551,17 +597,17 @@ module Incremental = struct
 
   let snapshot b =
     if b.degraded then None
-    else
+    else begin
       let chunks =
         match List.rev b.chunks_rev with
         | [] ->
-            [
-              build_chunk_iter ~page_sizes:b.page_sizes ~nobjs:0 ~start:0
-                (fun _ -> ());
-            ]
+            [ build_chunk ~page_sizes:b.page_sizes ~nobjs:0 ~start:0 ~stop:0 ignore ]
         | cs -> cs
       in
-      Some (merge_chunks ~events:b.ev_count ~nobjs:b.nobjs chunks)
+      let index = merge ~events:b.ev_count ~nobjs:b.nobjs chunks in
+      b.chunks_rev <- [ index ];
+      Some index
+    end
 end
 
 (* --- accessors --- *)
@@ -642,49 +688,65 @@ let equal (a : t) (b : t) = a = b
 
 (* --- binary codec --- *)
 
-(* 8-byte LE ints, whole structure built in (or parsed from) one string:
-   the in-memory form is what Trace_cache seals under a CRC trailer, so
-   the codec never touches a channel except through thin wrappers. *)
+(* 8-byte LE ints: magic, the two counts, then each array as its length
+   and its elements. [encode_padded] computes the exact size first and
+   writes every value once into one buffer, with room left at its end
+   for Trace_cache's trailer; [decode_prefix] reads the body in place
+   from the sealed entry, one loop per array. *)
 
-let buf_int buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
+let encoded_size t =
+  let arr a = 8 * (1 + Array.length a) in
+  let posting p = arr p.keys + arr p.offs + arr p.data in
+  String.length codec_version + 24
+  + posting t.word_writes + posting t.word_spans + arr t.wide_words
+  + posting t.pc_writes + arr t.obj_offs + arr t.obj_data
+  + Array.fold_left
+      (fun n v -> n + 8 + posting v.page_writes + posting v.page_spans + arr v.wide_pages)
+      0 t.pages
 
-let buf_array buf arr =
-  let n = Array.length arr in
-  let b = Bytes.create ((n + 1) * 8) in
-  Bytes.set_int64_le b 0 (Int64.of_int n);
-  for i = 0 to n - 1 do
-    Bytes.set_int64_le b ((i + 1) * 8) (Int64.of_int arr.(i))
-  done;
-  Buffer.add_bytes buf b
-
-let buf_posting buf p =
-  buf_array buf p.keys;
-  buf_array buf p.offs;
-  buf_array buf p.data
-
-let encode t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf codec_version;
-  buf_int buf t.events;
-  buf_int buf t.total_writes;
-  buf_posting buf t.word_writes;
-  buf_posting buf t.word_spans;
-  buf_array buf t.wide_words;
-  buf_posting buf t.pc_writes;
-  buf_array buf t.obj_offs;
-  buf_array buf t.obj_data;
-  buf_int buf (Array.length t.pages);
+let encode_padded t ~room =
+  let size = encoded_size t in
+  let buf = Bytes.create (size + room) in
+  Bytes.fill buf size room '\x00';
+  Bytes.blit_string codec_version 0 buf 0 (String.length codec_version);
+  let pos = ref (String.length codec_version) in
+  let int v =
+    Bytes.set_int64_le buf !pos (Int64.of_int v);
+    pos := !pos + 8
+  in
+  let array a =
+    int (Array.length a);
+    let p = !pos in
+    for i = 0 to Array.length a - 1 do
+      Bytes.set_int64_le buf (p + (8 * i)) (Int64.of_int (Array.unsafe_get a i))
+    done;
+    pos := p + (8 * Array.length a)
+  in
+  let posting p =
+    array p.keys;
+    array p.offs;
+    array p.data
+  in
+  int t.events;
+  int t.total_writes;
+  posting t.word_writes;
+  posting t.word_spans;
+  array t.wide_words;
+  posting t.pc_writes;
+  array t.obj_offs;
+  array t.obj_data;
+  int (Array.length t.pages);
   Array.iter
     (fun v ->
-      buf_int buf v.page_size;
-      buf_posting buf v.page_writes;
-      buf_posting buf v.page_spans;
-      buf_array buf v.wide_pages)
+      int v.page_size;
+      posting v.page_writes;
+      posting v.page_spans;
+      array v.wide_pages)
     t.pages;
-  Buffer.contents buf
+  assert (!pos = size);
+  buf
+
+let encode t = Bytes.unsafe_to_string (encode_padded t ~room:0)
 
 let write_binary oc t = output_string oc (encode t)
 
@@ -696,11 +758,12 @@ let p_decode = Ebp_util.Fault.point "write_index.codec.decode"
    [decode] may accept or reject a mutated blob, but it must never raise,
    hang, or allocate unboundedly — every count is clamped against the
    bytes actually present before anything is sized from it. *)
-let decode s =
+let decode_prefix s ~len =
+  if len < 0 || len > String.length s then
+    invalid_arg "Write_index.decode_prefix: length outside the string";
   match Ebp_util.Fault.fires p_decode with
   | Some _ -> Error "injected fault at write_index.codec.decode"
   | None -> (
-      let len = String.length s in
       let pos = ref 0 in
       let read_int () =
         if !pos + 8 > len then raise (Malformed "truncated int");
@@ -713,10 +776,11 @@ let decode s =
         (* At most (len - pos) / 8 elements can be present: clamping here
            bounds the allocation a corrupt count can drive. *)
         if n < 0 || n > (len - !pos) / 8 then raise (Malformed "bad array length");
-        let arr =
-          Array.init n (fun i -> Int64.to_int (String.get_int64_le s (!pos + (i * 8))))
-        in
-        pos := !pos + (n * 8);
+        let arr = Array.make n 0 and p = !pos in
+        for i = 0 to n - 1 do
+          Array.unsafe_set arr i (Int64.to_int (String.get_int64_le s (p + (8 * i))))
+        done;
+        pos := p + (8 * n);
         arr
       in
       let check_monotone what arr =
@@ -795,5 +859,7 @@ let decode s =
               }
         end
       with Malformed msg -> Error ("malformed write index: " ^ msg))
+
+let decode s = decode_prefix s ~len:(String.length s)
 
 let read_binary ic = decode (In_channel.input_all ic)

@@ -28,23 +28,32 @@
 type t
 
 val build : ?pool:Ebp_util.Domain_pool.t -> page_sizes:int list -> Trace.t -> t
-(** One pass over the trace, [O(events · words-per-event)]. With [pool]
-    (and a trace long enough to amortize the fan-out), the pass is split
-    into contiguous event chunks built on the pool's domains and merged
-    by concatenating each key's per-chunk runs — event positions are
+(** Built by counting, straight into the sorted posting arrays: one pass
+    counts each key's writes, the keys are sorted and the arrays laid
+    out, and a second pass writes each event at its key's cursor. Both
+    passes are [O(events · (1 + page sizes))] probes of a table of
+    distinct keys, and the build allocates little beyond the index
+    itself. With [pool] (and a trace long enough to amortize the
+    fan-out), the trace is split into contiguous event chunks, each
+    built the same way on the pool's domains, and merged by
+    concatenating each key's per-chunk runs — event positions are
     global, so the result is structurally {e identical} to the serial
-    build (asserted by [test_parallel.ml] through {!equal}).
+    build, which is the one-chunk case with no merge (asserted by
+    [test_parallel.ml] and [test_indexed.ml] through {!equal}).
     @raise Invalid_argument if a page size is not a positive power of
     two. *)
 
 (** {2 Incremental (streaming) builds}
 
-    One chunk per sealed trace block, appended while the recording runs;
-    {!Incremental.snapshot} merges the sealed chunks through the same
-    merge the batch build uses, so a snapshot over a recorded prefix is
-    {!equal} to {!build} over that prefix trace (asserted by
-    [test_stream.ml] and the fuzzer's streaming oracle). Peak state is
-    one block's hash tables — O(block), not O(trace). *)
+    One chunk per sealed trace block, built by the same counting pass as
+    {!build} while the recording runs; {!Incremental.snapshot} folds the
+    chunks sealed so far into one through the same merge the pooled
+    build uses, so a snapshot over a recorded prefix is {!equal} to
+    {!build} over that prefix trace (asserted by [test_stream.ml],
+    [test_indexed.ml] and the fuzzer's streaming oracle). Peak state is
+    the last snapshot plus the chunks sealed since — posting data the
+    final index holds anyway — and, while a block seals, its counting
+    tables: O(block), not O(trace). *)
 
 module Incremental : sig
   type builder
@@ -60,16 +69,20 @@ module Incremental : sig
   (** [add_block b ~nobjs ~count iter] seals one block of [count] events
       into the builder; [iter f] must call [f] once per event of the
       block, in order, with raw-event fields as in
-      {!Trace.iter_raw_range}. [nobjs] is the number of objects
-      registered so far (ids mentioned by the block must be below it).
-      Evaluates the [stream.index_merge] fault point: an injected fault
-      degrades the builder — later snapshots return [None] and consumers
-      fall back to a batch build over the prefix trace. *)
+      {!Trace.iter_raw_range}. [iter] is called twice (the count and
+      the fill pass), so it must walk the same events each time.
+      [nobjs] is the number of objects registered so far (ids mentioned
+      by the block must be below it). Evaluates the [stream.index_merge]
+      fault point: an injected fault degrades the builder — later
+      snapshots return [None] and consumers fall back to a batch build
+      over the prefix trace. *)
 
   val snapshot : builder -> t option
   (** The index over everything sealed so far — structurally identical to
       {!build} on the corresponding prefix trace — or [None] once the
-      builder is degraded. *)
+      builder is degraded. Merges only the blocks sealed since the last
+      snapshot into it, and until the next {!add_block} returns that
+      same index again without merging. *)
 
   val events : builder -> int
   (** Events sealed so far (the snapshot's {!events}). *)
@@ -251,12 +264,22 @@ val encode : t -> string
     length-prefixed arrays). {!Trace_cache} seals exactly these bytes
     under its CRC trailer. *)
 
+val encode_padded : t -> room:int -> Bytes.t
+(** [encode]'s bytes followed by [room] zero bytes, in one fresh buffer
+    of exactly that size: {!Trace_cache} writes its checksum trailer into
+    the room instead of copying the body. *)
+
 val decode : string -> (t, string) result
 (** Inverse of {!encode}. Hardened against adversarial input: every
     length is clamped against the bytes actually present, posting/object
     offsets are validated, trailing bytes are rejected, and no input
     makes it raise (it returns [Error _]). Evaluates the
     [write_index.codec.decode] fault point. *)
+
+val decode_prefix : string -> len:int -> (t, string) result
+(** [decode] of the first [len] bytes of the string, read in place: a
+    sealed entry's body decodes without being copied out of it.
+    @raise Invalid_argument if [len] is outside the string. *)
 
 val write_binary : out_channel -> t -> unit
 (** [output_string oc (encode t)]. *)

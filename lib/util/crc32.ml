@@ -23,18 +23,18 @@ let tables =
   done;
   t
 
-(* Unchecked native-endian 32-bit load: [sub] bounds-checks the whole
-   window once, so the per-word check [String.get_int32_le] makes would
-   be redundant on the hot loop. *)
-external get32_ne : string -> int -> int32 = "%caml_string_get32u"
+(* Unchecked native-endian 32-bit load: [sub_bytes] bounds-checks the
+   whole window once, so the per-word check [Bytes.get_int32_le] makes
+   would be redundant on the hot loop. *)
+external get32_ne : bytes -> int -> int32 = "%caml_bytes_get32u"
 external swap32 : int32 -> int32 = "%bswap_int32"
 
 let get32_le s i =
   let v = get32_ne s i in
   Int32.to_int (if Sys.big_endian then swap32 v else v) land 0xFFFFFFFF
 
-let sub s ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length s - len then
+let sub_bytes s ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length s - len then
     invalid_arg "Crc32.sub";
   let t = tables in
   let c = ref 0xFFFFFFFF in
@@ -55,9 +55,12 @@ let sub s ~pos ~len =
   done;
   for j = stop8 to pos + len - 1 do
     c :=
-      Array.unsafe_get t ((!c lxor Char.code (String.unsafe_get s j)) land 0xff)
+      Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get s j)) land 0xff)
       lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
+
+(* Reading a string through its bytes never writes it. *)
+let sub s ~pos ~len = sub_bytes (Bytes.unsafe_of_string s) ~pos ~len
 
 let string s = sub s ~pos:0 ~len:(String.length s)

@@ -13,3 +13,8 @@ val string : string -> int
 val sub : string -> pos:int -> len:int -> int
 (** CRC-32 of [len] bytes of [s] starting at [pos].
     @raise Invalid_argument if the range is outside [s]. *)
+
+val sub_bytes : bytes -> pos:int -> len:int -> int
+(** [sub] over a byte sequence, for a buffer that is still being written
+    (a cache entry sealing its own body).
+    @raise Invalid_argument if the range is outside [s]. *)

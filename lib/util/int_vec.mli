@@ -1,11 +1,11 @@
 (** Growable int vectors, and the merge of the sorted runs they hold.
 
-    The write index appends event positions to per-key vectors in trace
-    order, and indexed replay appends per-object timelines to per-range
-    vectors; both later need one ascending array out of several sorted
-    runs. {!merge_runs} and {!merge_sorted} do that with direct int
-    comparisons, in [n log2 runs] steps, where a sort would take
-    [n log2 n] through a comparison closure. *)
+    The write index collects its rare wide-write lists in a vector and
+    merges sorted key lists and posting slices; indexed replay appends
+    per-object timelines to per-range vectors. Both need one ascending
+    array out of several sorted runs. {!merge_runs} and {!merge_sorted}
+    do that with direct int comparisons, in [n log2 runs] steps, where a
+    sort would take [n log2 n] through a comparison closure. *)
 
 type t = { mutable data : int array; mutable len : int }
 (** [data.(0) .. data.(len - 1)] are the elements; the rest is spare

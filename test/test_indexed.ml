@@ -251,6 +251,226 @@ let test_codec_mutation_fuzz () =
     done
   done
 
+(* --- the counting build against a naive reference ---
+
+   The reference states the index's contents directly, as sorted
+   association lists built from the raw events, and shares no code with
+   [Write_index]'s counting build. Every build — serial, pooled at 2 and
+   4 domains, and incremental over random block sizes — is read back
+   through the public accessors only and must equal it. *)
+
+module Domain_pool = Ebp_util.Domain_pool
+
+type view = {
+  v_events : int;
+  v_writes : int;
+  v_word : (int * int list) list;
+  v_span : (int * int list) list;
+  v_pc : (int * int list) list;
+  v_wide : (int * int * int) list;
+  (* per page size: writes, spans, wide *)
+  v_pages :
+    (int * (int * int list) list * (int * int list) list * (int * int * int) list)
+    list;
+  v_objs : (int * bool * int * int) list list;
+}
+
+let view_of index =
+  let posting p =
+    List.init (Write_index.key_count p) (fun i ->
+        let key = Write_index.key_at p i in
+        (key, Array.to_list (Write_index.positions p key ~after:(-1) ~before:max_int)))
+  in
+  let triples iter =
+    let acc = ref [] in
+    iter (fun ~ev ~first ~last -> acc := (ev, first, last) :: !acc);
+    List.rev !acc
+  in
+  {
+    v_events = Write_index.events index;
+    v_writes = Write_index.total_writes index;
+    v_word = posting (Write_index.word_writes index);
+    v_span = posting (Write_index.word_spans index);
+    v_pc = posting (Write_index.pc_writes index);
+    v_wide = triples (Write_index.iter_wide_word_writes index);
+    v_pages =
+      List.map
+        (fun page_size ->
+          match Write_index.page_view index ~page_size with
+          | None -> (page_size, [], [], [])
+          | Some v ->
+              ( page_size,
+                posting (Write_index.page_writes v),
+                posting (Write_index.page_spans v),
+                triples (Write_index.iter_wide_page_writes v) ))
+        (Write_index.page_sizes index);
+    v_objs =
+      List.init (Write_index.object_count index) (fun o ->
+          let acc = ref [] in
+          Write_index.iter_object_timeline index o (fun ~ev ~is_install ~lo ~hi ->
+              acc := (ev, is_install, lo, hi) :: !acc);
+          List.rev !acc);
+  }
+
+let rec log2 n = if n = 1 then 0 else 1 + log2 (n / 2)
+
+(* [events] are [(t, tag, obj, lo, hi, pc)] in trace order. *)
+let reference ~page_sizes ~nobjs ~events:n events =
+  let writes = List.filter (fun (_, tag, _, _, _, _) -> tag = 2) events in
+  let group pairs =
+    List.fold_right
+      (fun (k, t) acc ->
+        match acc with
+        | (k', ts) :: rest when k' = k -> (k, t :: ts) :: rest
+        | _ -> (k, [ t ]) :: acc)
+      (List.sort compare pairs) []
+  in
+  (* A write's first and last word (page); it is narrow when they are
+     at most one apart. *)
+  let span_of shift (t, _, _, lo, hi, _) = (t, lo lsr shift, hi lsr shift) in
+  let words = List.map (span_of 2) writes in
+  let narrow = List.filter (fun (_, f, l) -> l - f <= 1) words in
+  let touched spans =
+    group (List.concat_map (fun (t, f, l) -> if f = l then [ (f, t) ] else [ (f, t); (l, t) ]) spans)
+  in
+  {
+    v_events = n;
+    v_writes = List.length writes;
+    v_word = touched narrow;
+    v_span = group (List.filter_map (fun (t, f, l) -> if l <> f then Some (f, t) else None) narrow);
+    v_pc = group (List.map (fun (t, _, _, _, _, pc) -> (pc, t)) writes);
+    v_wide = List.filter (fun (_, f, l) -> l - f > 1) words;
+    v_pages =
+      List.map
+        (fun page_size ->
+          let shift = log2 page_size in
+          let pages = List.map (span_of shift) writes in
+          ( page_size,
+            touched pages,
+            group (List.filter_map (fun (t, f, l) -> if l = f + 1 then Some (f, t) else None) pages),
+            List.filter (fun (_, f, l) -> l <> f && l <> f + 1) pages ))
+        page_sizes;
+    v_objs =
+      List.init nobjs (fun o ->
+          List.filter_map
+            (fun (t, tag, obj, lo, hi, _) ->
+              if tag <= 1 && obj = o then Some (t, tag = 0, lo, hi) else None)
+            events);
+  }
+
+let events_of trace =
+  let acc = ref [] and t = ref 0 in
+  Trace.iter_raw trace (fun ~tag ~obj ~lo ~hi ~pc ->
+      acc := (!t, tag, obj, lo, hi, pc) :: !acc;
+      incr t);
+  List.rev !acc
+
+(* Addresses in a few regions, so keys repeat: low memory, across a 32K
+   page boundary, past 2^32, and the two ends of the int range. *)
+let regions = [| 0x1000; 0x7ff0; 0x1_0000_0000; max_int - 0x3000; min_int; -0x2000 |]
+
+let random_trace st ~events =
+  let b = Trace.Builder.create () in
+  let addr () =
+    regions.(Random.State.int st (Array.length regions)) + Random.State.int st 0x3000
+  in
+  let range lo size = (lo, if lo > max_int - size then max_int else lo + size) in
+  let objs =
+    Array.init 12 (fun i ->
+        let lo, hi = range (addr ()) (Random.State.int st 64) in
+        (Object_desc.Global { var = "g" ^ string_of_int i }, iv lo hi))
+  in
+  let pcs = [| 0; 1; 2; 3; 17; -1; max_int; min_int |] in
+  for _ = 1 to events do
+    let obj, range_ = objs.(Random.State.int st (Array.length objs)) in
+    let write (lo, hi) =
+      Trace.Builder.add_write_raw b ~lo ~hi
+        ~pc:pcs.(Random.State.int st (Array.length pcs))
+    in
+    match Random.State.int st 10 with
+    | 0 -> Trace.Builder.add_install b obj range_
+    | 1 -> Trace.Builder.add_remove b obj range_
+    | 2 -> write (range (addr () land lnot 3) 3) (* one word *)
+    | 3 -> write (range ((addr () land lnot 3) + 2) 3) (* two words *)
+    | 4 -> write (range (addr ()) (8 + Random.State.int st 40)) (* 3+ words *)
+    | 5 -> write (range (((addr () lsr 10) lsl 10) - 2) 3) (* page edge *)
+    | 6 -> write (range (addr ()) (2048 + Random.State.int st 8192)) (* pages apart *)
+    | 7 -> write (range (Interval.lo range_) 1) (* on an object *)
+    | _ -> write (range (addr ()) (Random.State.int st 8))
+  done;
+  Trace.Builder.finish b
+
+(* The incremental builder over random block sizes (1 included), with
+   snapshots — and so folds — at random seals, each checked against
+   the reference over its prefix. *)
+let incremental_view st ~page_sizes trace events =
+  let n = Trace.length trace in
+  let inc = Write_index.Incremental.create ~page_sizes in
+  let max_block = if n < 1000 then 4 else 3000 in
+  let ev = Array.of_list events in
+  let nobjs = ref 0 and start = ref 0 in
+  while !start < n do
+    let stop = min n (!start + 1 + Random.State.int st max_block) in
+    for i = !start to stop - 1 do
+      let _, tag, obj, _, _, _ = ev.(i) in
+      if tag <= 1 then nobjs := max !nobjs (obj + 1)
+    done;
+    let first = !start in
+    Write_index.Incremental.add_block inc ~nobjs:!nobjs ~count:(stop - first)
+      (fun f -> Trace.iter_raw_range trace ~start:first ~stop f);
+    start := stop;
+    if Random.State.int st 8 = 0 then begin
+      let snap = Option.get (Write_index.Incremental.snapshot inc) in
+      if view_of snap
+         <> reference ~page_sizes ~nobjs:!nobjs ~events:stop
+              (List.filteri (fun i _ -> i < stop) events)
+      then QCheck2.Test.fail_reportf "snapshot at %d differs" stop
+    end
+  done;
+  view_of (Option.get (Write_index.Incremental.snapshot inc))
+
+let prop_builds_match_reference =
+  QCheck2.Test.make ~name:"serial, pooled and incremental builds = reference"
+    ~count:40
+    QCheck2.Gen.(pair int (oneof [ int_range 0 300; int_range 8192 16384 ]))
+    (fun (seed, events) ->
+      let st = Random.State.make [| seed |] in
+      let trace = random_trace st ~events in
+      let evs = events_of trace in
+      let expected =
+        reference ~page_sizes ~nobjs:(Trace.object_count trace) ~events evs
+      in
+      let check what v =
+        if v <> expected then QCheck2.Test.fail_reportf "%s build differs" what
+      in
+      check "serial" (view_of (Write_index.build ~page_sizes trace));
+      List.iter
+        (fun domains ->
+          Domain_pool.with_pool ~domains (fun pool ->
+              check
+                (Printf.sprintf "pooled(%d)" domains)
+                (view_of (Write_index.build ~pool ~page_sizes trace))))
+        [ 2; 4 ];
+      check "incremental" (incremental_view st ~page_sizes trace evs);
+      true)
+
+(* The EBPW2 bytes of circuit's index at the default page sizes, taken
+   before the counting build replaced the hash-table one: the encoder
+   and every build that feeds it must reproduce them exactly. *)
+let test_circuit_bytes_pinned () =
+  let w = List.find (fun w -> w.Ebp_workloads.Workload.name = "circuit") Ebp_workloads.Workload.all in
+  match
+    Ebp_trace.Recorder.record_source ~seed:w.Ebp_workloads.Workload.seed
+      w.Ebp_workloads.Workload.source
+  with
+  | Error msg -> Alcotest.failf "record circuit: %s" msg
+  | Ok (_, trace, _) ->
+      let index =
+        Write_index.build ~page_sizes:Replay.default_page_sizes trace
+      in
+      Alcotest.(check string) "EBPW2 md5" "2be42b236bb73cb1efe68995aee9032f"
+        (Digest.to_hex (Digest.string (Write_index.encode index)))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "indexed"
@@ -258,6 +478,12 @@ let () =
       ( "engine equivalence",
         [ q prop_indexed_matches_scan; q prop_replay_all_engines_agree ] );
       ("session index", [ q prop_session_index_matches ]);
+      ( "build",
+        [
+          q prop_builds_match_reference;
+          Alcotest.test_case "circuit EBPW2 bytes pinned" `Quick
+            test_circuit_bytes_pinned;
+        ] );
       ( "codec",
         [
           q prop_codec_round_trip;

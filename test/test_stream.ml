@@ -117,6 +117,52 @@ let test_block_size_irrelevant () =
             (Trace.equal streamed batch))
     [ 1; 7; 32; 1024; 1 lsl 20 ]
 
+(* --- snapshot reuse --- *)
+
+(* The trace a stream's sealed prefix decodes to: the first [stop]
+   events of [batch] over its first [nobjs] objects. *)
+let prefix_trace batch ~stop ~nobjs =
+  let b = Trace.Builder.create () in
+  for id = 0 to nobjs - 1 do
+    ignore (Trace.Builder.register b (Trace.object_of_id batch id))
+  done;
+  Trace.iter_raw_range batch ~start:0 ~stop (fun ~tag ~obj ~lo ~hi ~pc ->
+      if tag = 0 then Trace.Builder.add_install_id b obj ~lo ~hi
+      else if tag = 1 then Trace.Builder.add_remove_id b obj ~lo ~hi
+      else Trace.Builder.add_write_raw b ~lo ~hi ~pc);
+  Trace.Builder.finish b
+
+(* A snapshot folds the blocks sealed since the last one and is reused
+   until the next block: polls that read one prefix twice merge once. *)
+let test_snapshot_reuse () =
+  let batch = batch_trace ~seed:small_seed small_source in
+  let inc = Write_index.Incremental.create ~page_sizes in
+  let snap () = Option.get (Write_index.Incremental.snapshot inc) in
+  let snaps = ref [] and seals = ref 0 in
+  ignore
+    (stream_bytes ~block_events:32 ~seed:small_seed small_source
+       ~on_seal:(fun ~first:_ ~count ~nobjs iter ->
+         Write_index.Incremental.add_block inc ~nobjs ~count iter;
+         incr seals;
+         if !seals mod 3 = 0 then begin
+           let a = snap () in
+           Alcotest.(check bool) "no block between: the same index" true (a == snap ());
+           snaps := (Write_index.Incremental.events inc, nobjs, a) :: !snaps
+         end));
+  let final = snap () in
+  Alcotest.(check bool) "final snapshot reused" true (final == snap ());
+  Alcotest.(check bool) "several folds" true (List.length !snaps > 3);
+  Alcotest.(check bool) "final snapshot = batch build" true
+    (Write_index.equal final (Write_index.build ~page_sizes batch));
+  List.iter
+    (fun (stop, nobjs, s) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "snapshot at %d = build over its prefix" stop)
+        true
+        (Write_index.equal s
+           (Write_index.build ~page_sizes (prefix_trace batch ~stop ~nobjs))))
+    !snaps
+
 (* --- prefix consistency --- *)
 
 let test_prefix_consistency () =
@@ -357,16 +403,24 @@ let test_fault_seal_persistent () =
 
 let test_fault_index_merge_degrades () =
   (* A merge fault degrades the incremental builder to None — the
-     stream itself is untouched and callers replan without an index. *)
+     stream itself is untouched and callers replan without an index.
+     The snapshot taken before the fault folded the first block: that
+     folded index must not outlive the degrade. *)
   let inc = Write_index.Incremental.create ~page_sizes in
+  let folded = ref false in
   let clean, _ = stream_bytes ~block_events:32 ~seed:small_seed small_source in
   let bytes, _ =
     with_rules [ rule "stream.index_merge" (Fault.Nth 2) Fault.Fail ] (fun () ->
         stream_bytes ~block_events:32 ~seed:small_seed small_source
           ~on_seal:(fun ~first:_ ~count ~nobjs iter ->
-            Write_index.Incremental.add_block inc ~nobjs ~count iter))
+            Write_index.Incremental.add_block inc ~nobjs ~count iter;
+            if not !folded then
+              folded := Write_index.Incremental.snapshot inc <> None))
   in
+  Alcotest.(check bool) "a snapshot folded before the fault" true !folded;
   Alcotest.(check bool) "degraded to None" true
+    (Write_index.Incremental.snapshot inc = None);
+  Alcotest.(check bool) "still None" true
     (Write_index.Incremental.snapshot inc = None);
   Alcotest.(check bool) "stream unaffected" true (clean = bytes)
 
@@ -404,6 +458,8 @@ let () =
             test_workloads_identical;
           Alcotest.test_case "block size irrelevant" `Quick
             test_block_size_irrelevant;
+          Alcotest.test_case "snapshots fold and are reused" `Quick
+            test_snapshot_reuse;
         ] );
       ( "prefix",
         [
