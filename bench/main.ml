@@ -989,11 +989,29 @@ let run_streaming () =
        chain loader recorder);
   Recorder.finish_events recorder;
   Stream.Writer.finish writer;
+  let image = Buffer.contents buf in
   let streamed =
-    match Stream.read (Buffer.contents buf) with
+    match Stream.read image with
     | Ok t -> t
     | Error msg -> die "streaming bench: stream read: %s" msg
   in
+  (* The reader against a CRC-32 of the same bytes, in one process: the
+     ratio is what decoding costs over checksumming, which the host's
+     speed moves far less than either time. Best of 5 each. *)
+  let best_ms f =
+    List.fold_left min infinity
+      (List.init 5 (fun _ -> snd (wall_ms (fun () -> ignore (f ())))))
+  in
+  let read_ms = best_ms (fun () -> Stream.read image) in
+  let crc_ms = best_ms (fun () -> Ebp_util.Crc32.string image) in
+  Printf.printf
+    "read      %d events, %.1f MB: Stream.read %.1f ms (%.0f ns/event), \
+     CRC-32 %.1f ms (%.1fx)\n"
+    (Ebp_trace.Trace.length streamed)
+    (float_of_int (String.length image) /. 1048576.0)
+    read_ms
+    (read_ms *. 1e6 /. float_of_int (max 1 (Ebp_trace.Trace.length streamed)))
+    crc_ms (read_ms /. crc_ms);
   let identical_trace = Ebp_trace.Trace.equal streamed batch in
   let identical_index =
     match Write_index.Incremental.snapshot inc with
@@ -1047,6 +1065,9 @@ let run_streaming () =
         ( "hwm_growth_mb",
           match hwm_growth_mb with Some mb -> Json.Float mb | None -> Json.Null );
         ("first_answer_ms", Json.Float first_answer_ms);
+        ("read_events", Json.Int (Ebp_trace.Trace.length streamed));
+        ("read_ms", Json.Float read_ms);
+        ("crc_ms", Json.Float crc_ms);
         ("first_high_water", Json.Int !first_hw);
         ("identical_trace", Json.Bool identical_trace);
         ("identical_index", Json.Bool identical_index);

@@ -145,10 +145,6 @@ let run ~objects_of trace index (q : Ast.query) : Qresult.raw =
     | Ast.Or (a, b) -> P.union [ eval a; eval b ]
     | Ast.Not a -> P.diff (Lazy.force universe) (eval a)
   in
-  let sorted_pairs tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
   match (q.Ast.agg, q.Ast.group, q.Ast.bucket) with
   (* Count-all never needs positions at all. *)
   | Ast.Count, None, None when q.Ast.pred = Ast.All ->
@@ -160,27 +156,26 @@ let run ~objects_of trace index (q : Ast.query) : Qresult.raw =
       match (agg, group, bucket) with
       | Ast.Count, None, None -> Qresult.Count (Array.length positions)
       | Ast.Count_distinct field, _, _ ->
-          let seen : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+          let seen = Tally.create () in
           Array.iter
             (fun i ->
               let lo, hi, pc = write_attrs i in
               match field with
-              | Ast.D_pc -> Hashtbl.replace seen pc ()
+              | Ast.D_pc -> Tally.bump seen pc
               | Ast.D_word ->
                   for w = lo lsr 2 to hi lsr 2 do
-                    Hashtbl.replace seen w ()
+                    Tally.bump seen w
                   done)
             positions;
-          Qresult.Count (Hashtbl.length seen)
+          Qresult.Count (Tally.length seen)
       | Ast.Count, Some Ast.G_pc, _ ->
-          let tbl : (int, int) Hashtbl.t = Hashtbl.create 64 in
+          let tbl = Tally.create () in
           Array.iter
             (fun i ->
               let _, _, pc = write_attrs i in
-              Hashtbl.replace tbl pc
-                (1 + Option.value ~default:0 (Hashtbl.find_opt tbl pc)))
+              Tally.bump tbl pc)
             positions;
-          Qresult.Groups (sorted_pairs tbl)
+          Qresult.Groups (Tally.to_sorted tbl)
       | Ast.Count, Some Ast.G_object, _ ->
           (* Join the matched set against every object's live windows:
              binary-search the window's slice of [positions], then check

@@ -8,7 +8,8 @@
    A top-level [time in [a, b]] conjunct (Ast.window) bounds the pass:
    it stops after event [b], and writes before [a] are skipped without
    evaluating the predicate. Installs and removes before [a] are still
-   applied, so the live windows at [a] are exact. *)
+   applied, so the live windows at [a] are exact; blocks of writes alone
+   that end before [a] are not visited at all. *)
 
 module Trace = Ebp_trace.Trace
 
@@ -139,12 +140,16 @@ let run ~objects_of trace (q : Ast.query) : Qresult.raw =
   let active = Array.init natoms (fun _ -> Live_set.create nobjs) in
   let group_objects = q.Ast.group = Some Ast.G_object in
   let group_active = Live_set.create (if group_objects then nobjs else 0) in
-  (* Aggregation state. *)
+  let first, stop =
+    match Ast.window q.Ast.pred with
+    | None -> (0, Trace.length trace)
+    | Some (a, b) -> (a, max 0 (min (Trace.length trace) (b + 1)))
+  in
+  (* Aggregation state: pcs, words, object ids and bucket numbers are
+     counted in a [Tally], which costs what the keys hit, not the size
+     of the object table or of the window. *)
   let count = ref 0 in
-  let distinct : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let groups : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let buckets : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let bump tbl key = Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)) in
+  let tally = Tally.create () in
   let rec eval p ~i ~lo ~hi ~pc =
     match p with
     | I_all -> true
@@ -157,51 +162,58 @@ let run ~objects_of trace (q : Ast.query) : Qresult.raw =
     | I_or (a, b) -> eval a ~i ~lo ~hi ~pc || eval b ~i ~lo ~hi ~pc
     | I_not a -> not (eval a ~i ~lo ~hi ~pc)
   in
-  let first, stop =
-    match Ast.window q.Ast.pred with
-    | None -> (0, Trace.length trace)
-    | Some (a, b) -> (a, max 0 (min (Trace.length trace) (b + 1)))
-  in
+  let bump_object o = Tally.bump tally o in
   let i = ref 0 in
-  Trace.iter_raw_range trace ~start:0 ~stop (fun ~tag ~obj ~lo ~hi ~pc ->
-      let pos = !i in
-      incr i;
-      if tag = 2 then begin
-        if pos >= first && eval ipred ~i:pos ~lo ~hi ~pc then begin
-          match (q.Ast.agg, q.Ast.group, q.Ast.bucket) with
-          | Ast.Count_distinct Ast.D_pc, _, _ -> Hashtbl.replace distinct pc ()
-          | Ast.Count_distinct Ast.D_word, _, _ ->
-              for w = lo lsr 2 to hi lsr 2 do
-                Hashtbl.replace distinct w ()
-              done
-          | Ast.Count, Some Ast.G_pc, _ -> bump groups pc
-          | Ast.Count, Some Ast.G_object, _ ->
-              (* A write can land in several live objects; it counts for
-                 each (documented multi-count semantics). *)
-              Live_set.iter_overlapping group_active lo hi (bump groups)
-          | Ast.Count, None, Some width -> bump buckets (pos / width)
-          | Ast.Count, None, None -> incr count
-        end
+  let visit ~tag ~obj ~lo ~hi ~pc =
+    let pos = !i in
+    incr i;
+    if tag = 2 then begin
+      if pos >= first && eval ipred ~i:pos ~lo ~hi ~pc then begin
+        match (q.Ast.agg, q.Ast.group, q.Ast.bucket) with
+        | Ast.Count_distinct Ast.D_pc, _, _ -> Tally.bump tally pc
+        | Ast.Count_distinct Ast.D_word, _, _ ->
+            for w = lo lsr 2 to hi lsr 2 do
+              Tally.bump tally w
+            done
+        | Ast.Count, Some Ast.G_pc, _ -> Tally.bump tally pc
+        | Ast.Count, Some Ast.G_object, _ ->
+            (* A write can land in several live objects; it counts for
+               each (documented multi-count semantics). *)
+            Live_set.iter_overlapping group_active lo hi bump_object
+        | Ast.Count, None, Some width -> Tally.bump tally (pos / width)
+        | Ast.Count, None, None -> incr count
       end
-      else begin
-        (* tag 0 = install, 1 = remove; a re-install replaces the
-           window's range, a remove ends it. *)
-        List.iter
-          (fun a ->
-            if tag = 0 then Live_set.install active.(a) obj ~lo ~hi
-            else Live_set.remove active.(a) obj)
-          obj_atoms.(obj);
-        if group_objects then
-          if tag = 0 then Live_set.install group_active obj ~lo ~hi
-          else Live_set.remove group_active obj
-      end);
-  let sorted_pairs tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    end
+    else begin
+      (* tag 0 = install, 1 = remove; a re-install replaces the
+         window's range, a remove ends it. *)
+      List.iter
+        (fun a ->
+          if tag = 0 then Live_set.install active.(a) obj ~lo ~hi
+          else Live_set.remove active.(a) obj)
+        obj_atoms.(obj);
+      if group_objects then
+        if tag = 0 then Live_set.install group_active obj ~lo ~hi
+        else Live_set.remove group_active obj
+    end
   in
+  (* A window that starts past the first block lets whole blocks before
+     it go unvisited: a block of writes alone that ends before the
+     window cannot match, and moves no live set. Blocks come in order,
+     so [!i] is where the offered block starts (a short last block only
+     looks longer, and is visited). Without a window every event is
+     visited, so a trace scanned once (a live prefix) derives no block
+     summaries. *)
+  if first >= Trace.block_events then
+    Trace.iter_raw_skipping trace ~stop
+      ~skip:(fun ~min_lo:_ ~max_hi:_ -> !i + Trace.block_events <= first)
+      ~on_skip:(fun ~writes -> i := !i + writes)
+      visit
+  else Trace.iter_raw_range trace ~start:0 ~stop visit;
   match (q.Ast.agg, q.Ast.group, q.Ast.bucket) with
-  | Ast.Count_distinct _, _, _ -> Qresult.Count (Hashtbl.length distinct)
-  | Ast.Count, Some _, _ -> Qresult.Groups (sorted_pairs groups)
+  | Ast.Count_distinct _, _, _ -> Qresult.Count (Tally.length tally)
+  | Ast.Count, Some _, _ -> Qresult.Groups (Tally.to_sorted tally)
   | Ast.Count, None, Some width ->
-      Qresult.Buckets (List.map (fun (b, c) -> (b * width, c)) (sorted_pairs buckets))
+      Qresult.Buckets
+        (List.map (fun (b, c) -> (b * width, c)) (Tally.to_sorted tally))
   | Ast.Count, None, None -> Qresult.Count !count

@@ -22,7 +22,7 @@ let tag_write = 2
 
 (* Events per summary block; EBPT3 writes the summaries with this
    block size and nothing else. *)
-let columnar_block_events = 4096
+let block_events = 4096
 
 type int_column = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -37,7 +37,7 @@ type t = {
   writes : int;  (* events tagged write; the rest install or remove *)
   objs : Object_desc.t array;
   mapped : bool;
-  (* 4 ints per block of [columnar_block_events] events: install/remove
+  (* 4 ints per block of [block_events] events: install/remove
      count, write count, min write lo, max write hi. A mapped trace has
      its file's (checked at map time) and a decoded one the copy it
      re-derived and compared; a built one derives them on first use, so
@@ -78,7 +78,7 @@ module Builder = struct
   type t = builder
 
   let create ?(hint = 1024) () =
-    let n = max 16 hint in
+    let n = max 0 hint in
     { w0 = column n; lo = column n; hi = column n; pc = column n;
       count = 0; writes = 0; objs = [];
       obj_count = 0; intern = Hashtbl.create 64 }
@@ -117,7 +117,7 @@ module Builder = struct
 
   let push b w0 lo hi pc =
     let i = b.count in
-    if i = Bigarray.Array1.dim b.w0 then resize b (2 * i);
+    if i = Bigarray.Array1.dim b.w0 then resize b (max 16 (2 * i));
     Bigarray.Array1.unsafe_set b.w0 i w0;
     Bigarray.Array1.unsafe_set b.lo i lo;
     Bigarray.Array1.unsafe_set b.hi i hi;
@@ -142,6 +142,14 @@ module Builder = struct
     b.writes <- b.writes + 1;
     push b tag_write lo hi pc
 
+  let append b n fill =
+    if n < 0 then invalid_arg "Trace.Builder.append: negative count";
+    let at = b.count in
+    if at + n > Bigarray.Array1.dim b.w0 then resize b (at + n);
+    let writes = fill ~w0:b.w0 ~lo:b.lo ~hi:b.hi ~pc:b.pc ~at in
+    b.count <- at + n;
+    b.writes <- b.writes + writes
+
   let length b = b.count
   let object_count b = b.obj_count
 
@@ -160,7 +168,7 @@ let is_mapped t = t.mapped
 (* Per-block summaries plus the install range, in one pass over w0, lo
    and hi. *)
 let derive_summaries t =
-  let be = columnar_block_events in
+  let be = block_events in
   let nblocks = (t.count + be - 1) / be in
   let s = column (4 * nblocks) in
   let ilo = ref max_int and ihi = ref min_int in
@@ -212,8 +220,8 @@ let install_range t =
           let lo = ref max_int and hi = ref min_int in
           for b = 0 to (Bigarray.Array1.dim s / 4) - 1 do
             if s.{4 * b} > 0 then
-              for i = b * columnar_block_events
-                  to min t.count ((b + 1) * columnar_block_events) - 1 do
+              for i = b * block_events
+                  to min t.count ((b + 1) * block_events) - 1 do
                 if Bigarray.Array1.unsafe_get t.w0 i land 3 <> tag_write then begin
                   let l = Bigarray.Array1.unsafe_get t.lo i in
                   let h = Bigarray.Array1.unsafe_get t.hi i in
@@ -287,17 +295,20 @@ let write_positions t ~start ~stop =
   done;
   if !n = stop - start then out else Array.sub out 0 !n
 
-let iter_raw_skipping t ~skip ~on_skip f =
+let iter_raw_skipping ?stop t ~skip ~on_skip f =
+  let stop = Option.value stop ~default:t.count in
+  if stop < 0 || stop > t.count then
+    invalid_arg "Trace.iter_raw_skipping: bad event range";
   let s = summaries t in
-  for b = 0 to (Bigarray.Array1.dim s / 4) - 1 do
+  for b = 0 to ((stop + block_events - 1) / block_events) - 1 do
     let base = 4 * b in
+    let first = b * block_events in
+    let block_end = min t.count (first + block_events) in
     let meta = s.{base} and writes = s.{base + 1} in
-    if meta = 0 && writes > 0 && skip ~min_lo:s.{base + 2} ~max_hi:s.{base + 3}
+    if meta = 0 && writes > 0 && block_end <= stop
+       && skip ~min_lo:s.{base + 2} ~max_hi:s.{base + 3}
     then on_skip ~writes
-    else
-      iter_raw_range t ~start:(b * columnar_block_events)
-        ~stop:(min t.count ((b + 1) * columnar_block_events))
-        f
+    else iter_raw_range t ~start:first ~stop:(min stop block_end) f
   done
 
 let object_count t = Array.length t.objs
@@ -386,17 +397,6 @@ module Obs_span = Ebp_obs.Span
 let m_columnar_out = Metrics.counter "trace.codec.columnar_bytes_out"
 let m_mapped_bytes = Metrics.counter "trace.codec.mapped_bytes"
 
-(* LEB128: 7-bit groups, low first, high bit = continuation. *)
-let add_uvarint buf v =
-  let rec go v =
-    if 0 <= v && v < 0x80 then Buffer.add_char buf (Char.unsafe_chr v)
-    else begin
-      Buffer.add_char buf (Char.unsafe_chr (0x80 lor (v land 0x7f)));
-      go (v lsr 7)
-    end
-  in
-  go v
-
 exception Malformed of string
 
 (* --- EBPT3: the mmap-able columnar layout ---
@@ -474,7 +474,7 @@ let encode_obj_table objs =
         let i = !npool in
         incr npool;
         Hashtbl.add pool s i;
-        add_uvarint pool_buf (String.length s);
+        Varint.add_uvarint pool_buf (String.length s);
         Buffer.add_string pool_buf s;
         i
   in
@@ -485,30 +485,30 @@ let encode_obj_table objs =
           let func = sidx func in
           let var = sidx var in
           Buffer.add_char body '\x00';
-          add_uvarint body func;
-          add_uvarint body var;
-          add_uvarint body inst
+          Varint.add_uvarint body func;
+          Varint.add_uvarint body var;
+          Varint.add_uvarint body inst
       | Local_static { func; var } ->
           let func = sidx func in
           let var = sidx var in
           Buffer.add_char body '\x01';
-          add_uvarint body func;
-          add_uvarint body var
+          Varint.add_uvarint body func;
+          Varint.add_uvarint body var
       | Global { var } ->
           let var = sidx var in
           Buffer.add_char body '\x02';
-          add_uvarint body var
+          Varint.add_uvarint body var
       | Heap { context; seq } ->
           let ctx = List.map sidx context in
           Buffer.add_char body '\x03';
-          add_uvarint body (List.length ctx);
-          List.iter (add_uvarint body) ctx;
-          add_uvarint body seq)
+          Varint.add_uvarint body (List.length ctx);
+          List.iter (Varint.add_uvarint body) ctx;
+          Varint.add_uvarint body seq)
     objs;
   let out =
     Buffer.create (10 + Buffer.length pool_buf + Buffer.length body)
   in
-  add_uvarint out !npool;
+  Varint.add_uvarint out !npool;
   Buffer.add_buffer out pool_buf;
   Buffer.add_buffer out body;
   Buffer.contents out
@@ -599,7 +599,7 @@ let encode_columnar ?(meta = "") t =
   let set_word pos v = Bytes.set_int64_le buf pos (Int64.of_int v) in
   List.iteri
     (fun i v -> set_word (8 + (8 * i)) v)
-    [ count; nobjs; meta_len; objs_len; columnar_block_events; nsums / 4;
+    [ count; nobjs; meta_len; objs_len; block_events; nsums / 4;
       install_lo; install_hi ];
   Bytes.blit_string meta 0 buf columnar_header_len meta_len;
   Bytes.blit_string objs_blob 0 buf (columnar_header_len + meta_len) objs_len;
@@ -660,7 +660,7 @@ let parse_columnar_header ~file_len first_bytes =
     fail "negative size in columnar header";
   (* The encoder writes one block size: anything else is damage, and a
      single-block trace would not show it in the block count. *)
-  if h_block_events <> columnar_block_events then
+  if h_block_events <> block_events then
     fail "bad columnar block size";
   if h_nblocks <> (h_count + h_block_events - 1) / h_block_events then
     fail "bad columnar block count";
@@ -688,8 +688,8 @@ let parse_columnar_header ~file_len first_bytes =
 let check_columns ~nobjs ~count (w0s : int_column) (s : int_column) =
   let total = ref 0 in
   for b = 0 to (Bigarray.Array1.dim s / 4) - 1 do
-    let first = b * columnar_block_events in
-    let stop = min count (first + columnar_block_events) in
+    let first = b * block_events in
+    let stop = min count (first + block_events) in
     let writes = ref 0 in
     for i = first to stop - 1 do
       let w0 = Bigarray.Array1.unsafe_get w0s i in

@@ -25,16 +25,19 @@ type event =
 
 type t
 
+type int_column = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** One of a trace's four event columns. *)
+
 (** Growable trace under construction. *)
 module Builder : sig
   type trace := t
   type t
 
   val create : ?hint:int -> unit -> t
-  (** [hint] is the expected event count (default 1024): a builder sized
-      to its workload never reallocates, and {!finish} can hand over its
-      columns without copying. A wrong hint only costs the usual
-      doubling or one final copy. *)
+  (** [hint] is the expected event count (default 1024; 0 is allowed): a
+      builder sized to its workload never reallocates, and {!finish} can
+      hand over its columns without copying. A wrong hint only costs the
+      usual doubling or one final copy. *)
 
   val add_install : t -> Object_desc.t -> Ebp_util.Interval.t -> unit
   val add_remove : t -> Object_desc.t -> Ebp_util.Interval.t -> unit
@@ -58,6 +61,23 @@ module Builder : sig
   (** Allocation-free equivalent of {!add_write} for the phase-1 hot
       path: records the write [[lo, hi]] without going through an
       {!Ebp_util.Interval.t}. Requires [lo <= hi]. *)
+
+  val append :
+    t ->
+    int ->
+    (w0:int_column -> lo:int_column -> hi:int_column -> pc:int_column ->
+     at:int -> int) ->
+    unit
+  (** [append b n fill] appends [n] events that [fill] writes straight
+      into the columns: it must store events [at .. at + n - 1] of each
+      column in the layout {!iter_raw} reads — w0 is [id lsl 2 lor tag]
+      for an install (tag 0) or remove (tag 1) of a registered object
+      and exactly [2] for a write, pc is [-1] on an install or remove —
+      and return how many of them are writes. Columns that are short
+      grow to exactly [at + n] first, so a builder created with the
+      exact total as [hint] never grows or copies. Nothing is counted
+      if [fill] raises.
+      @raise Invalid_argument if [n] is negative. *)
 
   val length : t -> int
 
@@ -108,21 +128,31 @@ val write_positions : t -> start:int -> stop:int -> int array
     engine lowers [time in] windows and its position universe onto
     this. *)
 
+val block_events : int
+(** Events per summary block (4096): the unit {!iter_raw_skipping} skips
+    and EBPT3 stores summaries for. *)
+
 val iter_raw_skipping :
+  ?stop:int ->
   t ->
   skip:(min_lo:int -> max_hi:int -> bool) ->
   on_skip:(writes:int -> unit) ->
   (tag:int -> obj:int -> lo:int -> hi:int -> pc:int -> unit) -> unit
-(** {!iter_raw}, except that a 4096-event block containing only writes
-    may be skipped wholesale: when its summary shows no install/remove
-    events and [skip ~min_lo ~max_hi] returns [true] for the bounds of
-    its write ranges, [on_skip ~writes] is called with the block's write
-    count instead of visiting the events. Consumers that only need write
+(** {!iter_raw} over events [0..stop-1] (default: every event), except
+    that a {!block_events}-event block containing only writes may be
+    skipped wholesale: when its summary shows no install/remove events,
+    it ends by [stop], and [skip ~min_lo ~max_hi] returns [true] for the
+    bounds of its write ranges, [on_skip ~writes] is called with the
+    block's write count instead of visiting the events. Blocks are
+    offered in order, so a consumer that counts the events it has
+    passed knows where each one starts. Consumers that only need write
     {e counts} from regions provably outside every monitorable range
-    (the scan engine) go several times faster on sparse traces. Every
-    trace skips alike: a mapped trace reads its file's summaries, a
-    decoded one the summaries it checked, and a built one derives them
-    on first use (one pass over the events, cached). *)
+    (the replay scan), or that ignore the writes before a window (the
+    query scan), go several times faster on sparse traces. Every trace
+    skips alike: a mapped trace reads its file's summaries, a decoded
+    one the summaries it checked, and a built one derives them on first
+    use (one pass over the events, cached). Raises [Invalid_argument]
+    on a [stop] outside [0..length t]. *)
 
 val install_bounds : t -> (int * int) option
 (** [Some (lo, hi)] covering every install/remove range in the trace —

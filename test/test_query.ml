@@ -135,11 +135,13 @@ let objects =
     (Object_desc.Global { var = "far" }, iv 0x1_0000_1000 0x1_0000_100b);
   |]
 
+(* Up to 120 events; kind 6 writes the top words of the address space,
+   for [distinct word] keys near [max_int]. *)
 let trace_gen =
   let open QCheck2.Gen in
   let* ops =
     list_size (int_range 1 120)
-      (triple (int_range 0 5) (int_range 0 7) (int_range 0 40))
+      (triple (int_range 0 6) (int_range 0 7) (int_range 0 40))
   in
   return
     (let b = Trace.Builder.create () in
@@ -156,6 +158,9 @@ let trace_gen =
          | 4 ->
              let lo = (Interval.lo range + (jitter * 512)) land lnot 3 in
              Trace.Builder.add_write b (iv lo (lo + 19 + (4 * jitter))) ~pc:idx
+         | 6 ->
+             let hi = max_int - (jitter * 4) in
+             Trace.Builder.add_write b (iv (hi - 3 - (jitter land 4)) hi) ~pc:(max_int - idx)
          | _ ->
              let lo = Interval.lo range + jitter in
              Trace.Builder.add_write b (iv lo (lo + 2)) ~pc:idx)
@@ -223,7 +228,9 @@ let query_gen =
       let* top = opt (int_range 1 5) in
       return { Ast.agg = Ast.Count; pred; group = Some key; top; bucket = None }
   | _ ->
-      let* w = int_range 1 50 in
+      (* One event per bucket, a few, or one bucket wider than the
+         trace. *)
+      let* w = frequency [ (1, return 1); (3, int_range 2 50); (1, int_range 121 100_000) ] in
       return { Ast.agg = Ast.Count; pred; group = None; top = None; bucket = Some w }
 
 (* --- round-trip: parse (to_string q) = q --- *)
@@ -240,9 +247,26 @@ let prop_print_parse_round_trip =
 
 (* --- the tentpole property: compiled engine = scan oracle --- *)
 
+(* The shapes that count per key in [Tally] rather than in one counter:
+   pcs, words, object ids and bucket numbers, one event per bucket or
+   one bucket past the whole trace. *)
+let tally_query_gen =
+  let open QCheck2.Gen in
+  let* pred = frequency [ (1, pred_gen); (1, return Ast.All) ] in
+  let q = { Ast.agg = Ast.Count; pred; group = None; top = None; bucket = None } in
+  oneofl
+    [
+      { q with group = Some Ast.G_pc };
+      { q with group = Some Ast.G_object };
+      { q with bucket = Some 1 };
+      { q with bucket = Some 1_000_000 };
+      { q with agg = Ast.Count_distinct Ast.D_word };
+      { q with agg = Ast.Count_distinct Ast.D_pc };
+    ]
+
 let prop_engines_agree =
-  QCheck2.Test.make ~name:"compiled engine = scan oracle" ~count:400
-    QCheck2.Gen.(pair trace_gen query_gen)
+  QCheck2.Test.make ~name:"compiled engine = scan oracle" ~count:500
+    QCheck2.Gen.(pair trace_gen (frequency [ (4, query_gen); (1, tally_query_gen) ]))
     (fun (trace, q) ->
       let index = Write_index.build ~page_sizes trace in
       match Query.check_engines ~index trace q with
@@ -334,6 +358,39 @@ let test_real_program () =
          match Ebp_obs.Json.of_string line with Ok _ -> true | Error _ -> false)
        (String.split_on_char '\n' (String.trim nd)))
 
+(* A window that starts past the first block lets the scan skip the
+   blocks of writes before it. Installs and removes sit in blocks 1 and
+   3 only, so some skipped blocks follow live windows and some visited
+   ones hold no writes in the window; the windows start and end inside,
+   at and past block edges. *)
+let test_window_skip () =
+  let be = Trace.block_events in
+  let n = (5 * be) + 123 in
+  let b = Trace.Builder.create () in
+  for i = 0 to n - 1 do
+    let obj, range = objects.(i / 500 mod Array.length objects) in
+    if (i / be) mod 2 = 1 && i mod 500 = 0 then Trace.Builder.add_install b obj range
+    else if (i / be) mod 2 = 1 && i mod 500 = 250 then Trace.Builder.add_remove b obj range
+    else
+      let lo = Interval.lo (snd objects.(i mod Array.length objects)) + (i mod 3) in
+      Trace.Builder.add_write b (iv lo (lo + 2)) ~pc:(i mod 13)
+  done;
+  let trace = Trace.Builder.finish b in
+  let index = Write_index.build ~page_sizes trace in
+  List.iter
+    (fun (a, z) ->
+      List.iter
+        (fun tail ->
+          let s = Printf.sprintf "count where time in [%d,%d]%s" a z tail in
+          match Query.check_engines ~index trace (parse_ok s) with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.fail msg)
+        [ ""; " group by object"; " and live(global:a)"; " group by pc";
+          " bucket by 100"; " and not live(locals:f) bucket by 1000" ])
+    [ (be, be + 100); (be + 1, (3 * be) - 1); (2 * be, (3 * be) - 1);
+      ((2 * be) + 100, (2 * be) + 3000); ((3 * be) + 7, n + 50);
+      ((4 * be) + 1, n); (5 * be, n - 1); (n, n + 10) ]
+
 (* Auto engine selection returns the same raw result as both overrides,
    whatever the planner picks. *)
 let prop_auto_matches_overrides =
@@ -366,5 +423,6 @@ let () =
           qtest prop_engines_agree;
           qtest prop_auto_matches_overrides;
           Alcotest.test_case "real program" `Quick test_real_program;
+          Alcotest.test_case "window skips blocks" `Quick test_window_skip;
         ] );
     ]

@@ -235,6 +235,262 @@ let test_corruption_ends_prefix () =
       Alcotest.(check bool) "prefix shrank" true
         (p.Stream.high_water < full.Stream.high_water)
 
+(* --- the reader against the reference ---
+
+   [Stream_ref] is the reader as it was before the two-pass rewrite.
+   Whatever the bytes, [read_prefix] and [read] must return what it
+   returns: the same trace (with the same write count), high-water mark
+   and completeness, or the same error string. *)
+
+module Varint = Ebp_trace.Varint
+module Object_desc = Ebp_trace.Object_desc
+
+let same_as_reference s =
+  let same_trace a b =
+    Trace.equal a b && Trace.write_count a = Trace.write_count b
+  in
+  let prefix =
+    match (Stream.read_prefix s, Stream_ref.read_prefix s) with
+    | Ok a, Ok b ->
+        same_trace a.Stream.trace b.Stream.trace
+        && a.Stream.high_water = b.Stream.high_water
+        && a.Stream.complete = b.Stream.complete
+    | Error a, Error b -> a = b
+    | _ -> false
+  in
+  prefix
+  &&
+  match (Stream.read s, Stream_ref.read s) with
+  | Ok a, Ok b -> same_trace a b
+  | Error a, Error b -> a = b
+  | _ -> false
+
+(* Values at both ends of the int range as well as small ones. *)
+let extreme_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, int_range 0 200);
+        (1, int_range (max_int - 100) max_int);
+        (1, int_range min_int (min_int + 100));
+        (2, int);
+      ])
+
+(* A random stream: objects registered between events (ids past 32 take
+   two-byte words), installs and removes of registered objects, writes
+   with extreme addresses, widths and pcs, sealed every 1-64 events, and
+   finished or left as a live prefix. *)
+let random_stream_gen =
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [
+        (2, map (fun n -> `Register n) (int_range 0 3));
+        ( 2,
+          map3
+            (fun k id (lo, w) -> `Meta (k, id, lo, w))
+            bool nat (pair extreme_gen (int_range 0 64)) );
+        ( 5,
+          map3
+            (fun lo w pc -> `Write (lo, w, pc))
+            extreme_gen
+            (frequency [ (5, int_range 0 7); (1, extreme_gen) ])
+            extreme_gen );
+      ]
+  in
+  let* block_events = int_range 1 64 in
+  let* ops = list_size (int_range 0 60) op in
+  let* finish = bool in
+  return
+    (let buf = Buffer.create 256 in
+     let w = Stream.Writer.create ~block_events ~write:(Buffer.add_string buf) () in
+     let nobjs = ref 0 in
+     List.iter
+       (function
+         | `Register n ->
+             for _ = 0 to n + (!nobjs / 8) do
+               let i = !nobjs in
+               let obj : Object_desc.t =
+                 match i mod 4 with
+                 | 0 -> Global { var = Printf.sprintf "g%d" i }
+                 | 1 -> Local { func = "f"; var = "x"; inst = i }
+                 | 2 -> Local_static { func = "f"; var = Printf.sprintf "s%d" i }
+                 | _ -> Heap { context = [ "alloc"; "main" ]; seq = i }
+               in
+               nobjs := 1 + Stream.Writer.register w obj
+             done
+         | `Meta (install, id, lo, width) ->
+             if !nobjs > 0 then
+               let id = id mod !nobjs and hi = lo + width in
+               if install then Stream.Writer.add_install_id w id ~lo ~hi
+               else Stream.Writer.add_remove_id w id ~lo ~hi
+         | `Write (lo, width, pc) ->
+             Stream.Writer.add_write_raw w ~lo ~hi:(lo + width) ~pc)
+       ops;
+     if finish then Stream.Writer.finish w;
+     Buffer.contents buf)
+
+(* Records re-sealed with a fresh CRC, so the damage inside them reaches
+   the decoder instead of ending the prefix. A payload is written field
+   by field; [Long] is a ten-byte varint. *)
+type field = U of int | S of int | Raw of string | Long
+
+let encode_fields fields =
+  let buf = Buffer.create 64 in
+  Array.iter
+    (function
+      | U v -> Varint.add_uvarint buf v
+      | S v -> Varint.add_svarint buf v
+      | Raw s -> Buffer.add_string buf s
+      | Long -> Buffer.add_string buf "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00")
+    fields;
+  Buffer.contents buf
+
+let seal_record tag payload =
+  let buf = Buffer.create (String.length payload + 16) in
+  Buffer.add_char buf tag;
+  Varint.add_uvarint buf (String.length payload);
+  Buffer.add_string buf payload;
+  Buffer.add_int32_le buf (Int32.of_int (Ebp_util.Crc32.string payload));
+  Buffer.contents buf
+
+(* The LEB128 value at [!c], advancing [c]: for intact bytes only. *)
+let take_uvarint s c =
+  let v = ref 0 and shift = ref 0 and go = ref true in
+  while !go do
+    let b = Char.code s.[!c] in
+    incr c;
+    v := !v lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    go := b >= 0x80
+  done;
+  !v
+
+(* The header and each sealed record's tag and payload of an intact
+   stream. *)
+let split_records s =
+  let c = ref (String.length Stream.magic) in
+  ignore (take_uvarint s c);
+  let header = String.sub s 0 !c in
+  let records = ref [] in
+  while !c < String.length s do
+    let tag = s.[!c] in
+    incr c;
+    let n = take_uvarint s c in
+    records := (tag, String.sub s !c n) :: !records;
+    c := !c + n + 4
+  done;
+  (header, List.rev !records)
+
+(* A block payload as fields, the index of its first w0 field, and its
+   events' w0 words. The columns follow: w0, lo, width, then the pcs of
+   the writes. *)
+let block_fields payload =
+  let c = ref 0 in
+  let uv () = U (take_uvarint payload c) in
+  let sv () = S (Varint.unzigzag (take_uvarint payload c)) in
+  let ndescs = take_uvarint payload c in
+  let descs =
+    List.init ndescs (fun _ ->
+        let n = take_uvarint payload c in
+        let str = String.sub payload !c n in
+        c := !c + n;
+        [ U n; Raw str ])
+  in
+  let count = take_uvarint payload c in
+  let w0s = Array.init count (fun _ -> take_uvarint payload c) in
+  let los = List.init count (fun _ -> sv ()) in
+  let widths = List.init count (fun _ -> uv ()) in
+  let pcs = List.filter_map (fun w0 -> if w0 land 3 = 2 then Some (sv ()) else None) (Array.to_list w0s) in
+  let head = (U ndescs :: List.concat descs) @ [ U count ] in
+  ( Array.of_list
+      (head @ List.map (fun v -> U v) (Array.to_list w0s) @ los @ widths @ pcs),
+    List.length head,
+    w0s )
+
+(* Every kind of damage inside an intact record, one stream each: an
+   unknown record tag, trailing bytes, and per event a tag 3, an object id
+   out of range, a write word with id bits (or an install turned write),
+   ten-byte varints in each column and a negative width; in the fin,
+   counts that do not match, a missing field and a ten-byte varint. *)
+let damaged_streams s =
+  let header, records = split_records s in
+  let out = ref [] in
+  let rebuild i record =
+    out :=
+      String.concat ""
+        (header
+        :: List.mapi
+             (fun j (tag, payload) ->
+               if i = j then record else seal_record tag payload)
+             records)
+      :: !out
+  in
+  List.iteri
+    (fun i (tag, payload) ->
+      rebuild i (seal_record 'X' payload);
+      rebuild i (seal_record tag (payload ^ "\x00"));
+      let with_fields fields = rebuild i (seal_record tag (encode_fields fields)) in
+      if tag = 'B' then begin
+        let fields, base, w0s = block_fields payload in
+        let count = Array.length w0s in
+        let with_field k f =
+          let fields = Array.copy fields in
+          fields.(k) <- f;
+          with_fields fields
+        in
+        Array.iteri
+          (fun e w0 ->
+            with_field (base + e) (U (w0 lor 3));
+            with_field (base + e) (U (1 lsl 50));
+            with_field (base + e)
+              (if w0 land 3 = 2 then U (((e + 1) lsl 2) lor 2) else U 2);
+            with_field (base + e) Long;
+            with_field (base + count + e) Long;
+            with_field (base + (2 * count) + e) (U (-1 - e));
+            with_field (base + (2 * count) + e) Long)
+          w0s;
+        if Array.length fields > base + (3 * count) then
+          with_field (Array.length fields - 1) Long
+      end
+      else begin
+        let c = ref 0 in
+        let events = take_uvarint payload c in
+        let objs = take_uvarint payload c in
+        List.iter with_fields
+          [ [| U (events + 1); U objs |]; [| U events; U (objs + 1) |];
+            [| U events |]; [| Long; U objs |] ]
+      end)
+    records;
+  !out
+
+let prop_reader_matches_reference =
+  QCheck2.Test.make ~name:"read_prefix and read = the reference reader" ~count:25
+    random_stream_gen (fun s ->
+      let fail what = QCheck2.Test.fail_reportf "%s differs from the reference" what in
+      if not (same_as_reference s) then fail "the whole stream";
+      for cut = 0 to String.length s - 1 do
+        if not (same_as_reference (String.sub s 0 cut)) then
+          fail (Printf.sprintf "the cut at byte %d" cut)
+      done;
+      let b = Bytes.of_string s in
+      for bit = 0 to (8 * Bytes.length b) - 1 do
+        let flip () =
+          Bytes.set b (bit / 8)
+            (Char.chr (Char.code (Bytes.get b (bit / 8)) lxor (1 lsl (bit mod 8))))
+        in
+        flip ();
+        let ok = same_as_reference (Bytes.to_string b) in
+        flip ();
+        if not ok then fail (Printf.sprintf "the flip of bit %d" bit)
+      done;
+      List.iteri
+        (fun k d ->
+          if not (same_as_reference d) then
+            fail (Printf.sprintf "re-sealed damage #%d" k))
+        (damaged_streams s);
+      true)
+
 (* --- checkpointed time travel --- *)
 
 let compiled_of source =
@@ -467,6 +723,7 @@ let () =
             test_prefix_consistency;
           Alcotest.test_case "corruption ends the prefix" `Quick
             test_corruption_ends_prefix;
+          QCheck_alcotest.to_alcotest prop_reader_matches_reference;
         ] );
       ( "checkpoint",
         [
